@@ -2,7 +2,8 @@
 # Tier-1 verification (see ROADMAP.md): full build + test suite, then the
 # concurrency-sensitive tests again under ThreadSanitizer to vet the
 # lock-free obs metrics / trace-span plumbing, the sampling profiler's
-# signal handler, and the thread pool, then a quick-scale end-to-end run
+# signal handler, and the thread pool, the input-parsing suites under
+# AddressSanitizer + UBSan, then a quick-scale end-to-end run
 # with the flight recorder on, gated against the committed baseline report
 # via `phonolid report-diff`, plus a profiled run that must yield folded
 # stacks and >= 95% sample attribution.
@@ -27,6 +28,18 @@ cmake --build build-tsan -j --target test_obs test_thread_pool test_pipeline_sto
 ./build-tsan/tests/test_streaming
 ./build-tsan/tests/test_serve
 
+# AddressSanitizer + UBSan (any undefined behaviour is fatal) over the
+# suites that parse untrusted input (frames, artifacts, bundles, reports,
+# ledgers) plus the fork-join pool, whose groups live on callers' stacks.
+ASAN_SUITES=(test_serve test_serialize test_robustness test_pipeline_store
+  test_obs test_streaming test_am_serialization test_diagnostics
+  test_thread_pool)
+cmake -B build-asan -S . -DPHONOLID_SANITIZE=address
+cmake --build build-asan -j --target "${ASAN_SUITES[@]}"
+for suite in "${ASAN_SUITES[@]}"; do
+  "./build-asan/tests/$suite"
+done
+
 # Kernel microbenchmark smoke: one repetition at minimal time, just to prove
 # the harness runs and every registered shape executes.
 cmake --build build -j --target bench_kernels
@@ -48,6 +61,9 @@ PHONOLID_TRACE="$TMP/quick.trace.json" PHONOLID_PROM="$TMP/quick.prom" \
   ./build/tools/phonolid run --scale quick --report "$TMP/quick.report.json" \
   --ledger "$TMP/quick.ledger.jsonl" --cache-dir "$CACHE_DIR"
 test -s "$TMP/quick.trace.json"
+# Valid JSON, not just non-empty: span names built at run time must survive
+# until the export reads them.
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$TMP/quick.trace.json"
 test -s "$TMP/quick.prom"
 test -s "$TMP/quick.ledger.jsonl"
 ./build/tools/phonolid report-diff "$TMP/quick.report.json" "$TMP/quick.report.json" > /dev/null
@@ -130,6 +146,15 @@ grep -Eo '[0-9.]+% of samples attributed' "$TMP/quick.flame.txt" \
   | awk -F% '{ if ($1 < 95) { print "profile attribution below 95%: " $1 "%"; exit 1 } }'
 ./build/tools/phonolid report-diff "$TMP/energy.report.json" \
   "$TMP/energy.report.json" --max-self-share-delta 0 > /dev/null
+
+# Span-shape gate: a span path is the task's logical nesting, not an
+# accident of which thread ran it, so a cold single-threaded run must
+# record exactly the same span path -> call count map as the cold energy
+# run above (default pool width).  Cold on purpose: warm hits skip stages.
+PHONOLID_THREADS=1 ./build/tools/phonolid run --scale quick \
+  --report "$TMP/t1.report.json" --cache-dir "$TMP/t1-cache" > /dev/null
+python3 -c 'import json,sys; m=[{s["path"]:s["count"] for s in json.load(open(p))["spans"]} for p in sys.argv[1:]]; d=sorted(set(m[0].items())^set(m[1].items())); print("span shape differs by thread count:", d[:20]) if d else None; sys.exit(1 if d else 0)' \
+  "$TMP/t1.report.json" "$TMP/energy.report.json"
 
 # Decision-ledger surface smoke: diag must summarize the ledger, explain
 # must resolve a recorded utterance id, and an unknown id must exit 2.

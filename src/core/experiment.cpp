@@ -10,7 +10,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "pipeline/artifact_store.h"
-#include "pipeline/stage_runner.h"
 #include "util/logging.h"
 #include "util/options.h"
 #include "util/thread_pool.h"
@@ -65,63 +64,62 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
 
   // The six per-front-end chains (train -> decode -> vsm) share no state —
   // each writes only slot s and all randomness derives from (seed, salt) —
-  // so they run as independent stages.  Every stage product is pulled from
-  // the artifact store when its key matches (see core/stage_cache.h for the
-  // invalidation chain).
+  // so they run as one parallel_for over the front ends.  Every stage
+  // product is pulled from the artifact store when its key matches (see
+  // core/stage_cache.h for the invalidation chain).  Once a chain throws,
+  // chains that have not started are skipped and the first error wins.
   const pipeline::StageKey corpus_key =
       corpus_stage_key(config.corpus, config.scale, config.seed);
-  pipeline::StageRunner runner;
-  for (std::size_t s = 0; s < q; ++s) {
-    runner.add("subsystem/" + config.frontends[s].name, [&, s] {
-      FrontEndSpec spec = config.frontends[s];
-      // The 1-best ablation flows through the supervector builder config.
-      spec.use_lattice_counts = config.use_lattice_counts;
+  util::parallel_for(0, q, [&](std::size_t s) {
+    const std::string span_name = "subsystem/" + config.frontends[s].name;
+    obs::Span span(span_name.c_str());
+    FrontEndSpec spec = config.frontends[s];
+    // The 1-best ablation flows through the supervector builder config.
+    spec.use_lattice_counts = config.use_lattice_counts;
 
-      const pipeline::StageKey fe_key =
-          frontend_stage_key(corpus_key, spec, config.seed);
-      TrainedFrontEnd fe = store.get_or_compute<TrainedFrontEnd>(
-          fe_key,
-          [](std::istream& in) { return TrainedFrontEnd::deserialize(in); },
-          [](std::ostream& out, const TrainedFrontEnd& v) { v.serialize(out); },
-          [&] { return Subsystem::train_front_end(corpus, spec, config.seed); });
-      auto sub = Subsystem::assemble(corpus, spec, std::move(fe));
-      sub->set_batch_chunk_samples(config.batch_chunk_samples);
+    const pipeline::StageKey fe_key =
+        frontend_stage_key(corpus_key, spec, config.seed);
+    TrainedFrontEnd fe = store.get_or_compute<TrainedFrontEnd>(
+        fe_key,
+        [](std::istream& in) { return TrainedFrontEnd::deserialize(in); },
+        [](std::ostream& out, const TrainedFrontEnd& v) { v.serialize(out); },
+        [&] { return Subsystem::train_front_end(corpus, spec, config.seed); });
+    auto sub = Subsystem::assemble(corpus, spec, std::move(fe));
+    sub->set_batch_chunk_samples(config.batch_chunk_samples);
 
-      const pipeline::StageKey sv_key = supervectors_stage_key(fe_key);
-      DecodedSupervectors ds = store.get_or_compute<DecodedSupervectors>(
-          sv_key,
-          [](std::istream& in) { return DecodedSupervectors::deserialize(in); },
-          [](std::ostream& out, const DecodedSupervectors& v) {
-            v.serialize(out);
-          },
-          [&] { return sub->decode_splits(corpus); });
-      sub->set_tfllr(ds.tfllr);
+    const pipeline::StageKey sv_key = supervectors_stage_key(fe_key);
+    DecodedSupervectors ds = store.get_or_compute<DecodedSupervectors>(
+        sv_key,
+        [](std::istream& in) { return DecodedSupervectors::deserialize(in); },
+        [](std::ostream& out, const DecodedSupervectors& v) {
+          v.serialize(out);
+        },
+        [&] { return sub->decode_splits(corpus); });
+    sub->set_tfllr(ds.tfllr);
 
-      // Baseline VSM (paper step (b)) and score matrices (Eq. 8-9).
-      svm::VsmTrainConfig vsm_cfg = config.vsm;
-      vsm_cfg.seed = util::derive_stream(config.seed, 0xF000 + s);
-      const pipeline::StageKey vsm_key =
-          vsm_stage_key(sv_key, vsm_cfg, vsm_cfg.seed, k);
-      svm::VsmModel vsm = store.get_or_compute<svm::VsmModel>(
-          vsm_key,
-          [](std::istream& in) { return svm::VsmModel::deserialize(in); },
-          [](std::ostream& out, const svm::VsmModel& v) { v.serialize(out); },
-          [&] {
-            return svm::VsmModel::train(ds.train, exp->train_labels_, k,
-                                        sub->supervector_dim(), vsm_cfg);
-          });
+    // Baseline VSM (paper step (b)) and score matrices (Eq. 8-9).
+    svm::VsmTrainConfig vsm_cfg = config.vsm;
+    vsm_cfg.seed = util::derive_stream(config.seed, 0xF000 + s);
+    const pipeline::StageKey vsm_key =
+        vsm_stage_key(sv_key, vsm_cfg, vsm_cfg.seed, k);
+    svm::VsmModel vsm = store.get_or_compute<svm::VsmModel>(
+        vsm_key,
+        [](std::istream& in) { return svm::VsmModel::deserialize(in); },
+        [](std::ostream& out, const svm::VsmModel& v) { v.serialize(out); },
+        [&] {
+          return svm::VsmModel::train(ds.train, exp->train_labels_, k,
+                                      sub->supervector_dim(), vsm_cfg);
+        });
 
-      exp->baseline_[s].dev = vsm.score_all(ds.dev);
-      exp->baseline_[s].test = vsm.score_all(ds.test);
-      exp->train_svs_[s] = std::move(ds.train);
-      exp->dev_svs_[s] = std::move(ds.dev);
-      exp->test_svs_[s] = std::move(ds.test);
-      exp->baseline_vsms_[s] = std::move(vsm);
-      exp->subsystems_[s] = std::move(sub);
-      PHONOLID_INFO("core") << "baseline VSM ready for " << spec.name;
-    });
-  }
-  runner.run_all();
+    exp->baseline_[s].dev = vsm.score_all(ds.dev);
+    exp->baseline_[s].test = vsm.score_all(ds.test);
+    exp->train_svs_[s] = std::move(ds.train);
+    exp->dev_svs_[s] = std::move(ds.dev);
+    exp->test_svs_[s] = std::move(ds.test);
+    exp->baseline_vsms_[s] = std::move(vsm);
+    exp->subsystems_[s] = std::move(sub);
+    PHONOLID_INFO("core") << "baseline VSM ready for " << spec.name;
+  });
 
   // Votes over the pooled test set (Eq. 10-13).
   std::vector<const util::Matrix*> test_scores;

@@ -107,7 +107,7 @@ class Experiment {
   /// from the store when its key matches, so a warm run skips straight to
   /// scoring — bit-identical to the cold run by construction (the artifacts
   /// *are* the cold run's products).  The six front-end stage chains run
-  /// concurrently on the thread pool (pipeline::StageRunner).
+  /// concurrently as one util::parallel_for over the front ends.
   static std::unique_ptr<Experiment> build(const ExperimentConfig& config);
 
   /// Artifact-store root this experiment resolved ("" = uncached run).

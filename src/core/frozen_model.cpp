@@ -261,9 +261,9 @@ BatchScore FrozenModel::score_batch(
     return out;
   }
 
-  // One streaming session per (utterance, subsystem) on the helping-wait
-  // pool; the batch path is the one-chunk session, so these supervectors
-  // match the offline decode bit for bit.
+  // One streaming session per (utterance, subsystem) in one parallel_for
+  // task group; the batch path is the one-chunk session, so these
+  // supervectors match the offline decode bit for bit.
   std::vector<std::vector<phonotactic::SparseVec>> svs(num_subs);
   for (auto& per_sub : svs) per_sub.resize(n);
   util::parallel_for(0, num_subs * n, [&](std::size_t idx) {

@@ -14,10 +14,9 @@
 //    independent accumulator lanes (explicit reassociation) over
 //    contiguous, restrict-qualified spans so GCC/Clang vectorise them at
 //    -O2 with strict FP semantics.
-//  * Nested-parallelism safe.  Parallel tiles run through
-//    util::parallel_for, which uses the thread pool's helping-wait: a
-//    caller already running on a pool worker drains queued tiles itself
-//    instead of deadlocking.
+//  * Nested-parallelism safe.  Parallel tiles run as a util::parallel_for
+//    task group: a caller already running on a pool worker can drain its
+//    own group's tiles alone instead of deadlocking.
 //
 // PHONOLID_KERNEL=generic selects the naive reference implementations in
 // la::ref (same results up to floating-point reassociation; used to

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 
 #if defined(__linux__)
@@ -35,7 +34,6 @@ namespace {
 #endif
 
 constexpr std::size_t kMaxFrames = 30;
-constexpr std::size_t kMaxSpanDepth = 8;
 constexpr std::size_t kDefaultRingCapacity = 1u << 12;  // samples per thread
 
 /// Fixed-size ring slot written from signal context: raw return addresses
@@ -45,7 +43,7 @@ struct RawSample {
   std::uint16_t num_frames = 0;
   std::uint16_t span_depth = 0;
   std::uintptr_t frames[kMaxFrames];
-  const char* spans[kMaxSpanDepth];
+  const char* spans[kMaxProfileSpanDepth];
 };
 
 /// Per-thread sampling state.  The SIGPROF handler receives the pointer via
@@ -56,10 +54,10 @@ struct RawSample {
 struct ThreadState {
   // Span-name stack: written by the owning thread (Span enter/exit), read
   // only by that same thread's signal handler.  `depth` may exceed
-  // kMaxSpanDepth (deeper names are not recorded but the count stays
+  // kMaxProfileSpanDepth (deeper names are not recorded but the count stays
   // balanced); release stores keep the slot writes ordered before the
   // depth update at every instruction boundary the handler can observe.
-  const char* span_names[kMaxSpanDepth] = {};
+  const char* span_names[kMaxProfileSpanDepth] = {};
   std::atomic<std::uint32_t> span_depth{0};
 
   // SPSC sample ring: the handler writes, drains read.  head/tail are
@@ -191,7 +189,7 @@ void sigprof_handler(int, siginfo_t* info, void* ucv) {
       RawSample& slot = s->ring[h % s->capacity];
       unwind_context(s, ucv, slot);
       std::uint32_t depth = s->span_depth.load(std::memory_order_relaxed);
-      if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
+      if (depth > kMaxProfileSpanDepth) depth = kMaxProfileSpanDepth;
       for (std::uint32_t i = 0; i < depth; ++i) {
         slot.spans[i] = s->span_names[i];
       }
@@ -363,28 +361,6 @@ void Profiler::register_thread() noexcept {
   tls_exit_guard.active = true;
 }
 
-namespace {
-
-/// Span names reach us as `const char*` with no lifetime guarantee —
-/// pipeline stages pass `std::string::c_str()` of strings that die before
-/// the rings drain (see pipeline/stage_runner.cpp).  Ring slots and the
-/// aggregation map hold these pointers until flush, so every name is
-/// interned once into a leaked pool; node-based unordered_set keeps c_str()
-/// stable across rehashes.
-const char* intern_span_name(const char* name) noexcept {
-  static std::mutex* mutex = new std::mutex();
-  static std::unordered_set<std::string>* pool =
-      new std::unordered_set<std::string>();
-  try {
-    std::lock_guard lock(*mutex);
-    return pool->emplace(name).first->c_str();
-  } catch (...) {
-    return "(intern-failed)";
-  }
-}
-
-}  // namespace
-
 void Profiler::on_span_enter(const char* name) noexcept {
   ThreadState* s = tls_state;
   if (s == nullptr) {
@@ -394,7 +370,7 @@ void Profiler::on_span_enter(const char* name) noexcept {
     if (s == nullptr) return;
   }
   const std::uint32_t depth = s->span_depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) s->span_names[depth] = intern_span_name(name);
+  if (depth < kMaxProfileSpanDepth) s->span_names[depth] = name;
   s->span_depth.store(depth + 1, std::memory_order_release);
   // Opportunistic drain keeps ring memory bounded on long runs without any
   // background thread; only pays the locks when a backlog actually built.
@@ -414,6 +390,31 @@ void Profiler::on_span_exit() noexcept {
   if (s == nullptr) return;
   const std::uint32_t depth = s->span_depth.load(std::memory_order_relaxed);
   if (depth > 0) s->span_depth.store(depth - 1, std::memory_order_release);
+}
+
+ProfileSpanStack Profiler::span_stack() noexcept {
+  ProfileSpanStack stack;
+  const ThreadState* s = tls_state;
+  if (s == nullptr) return stack;
+  stack.depth = s->span_depth.load(std::memory_order_relaxed);
+  const std::size_t named =
+      std::min<std::size_t>(stack.depth, kMaxProfileSpanDepth);
+  for (std::size_t i = 0; i < named; ++i) stack.names[i] = s->span_names[i];
+  return stack;
+}
+
+void Profiler::set_span_stack(const ProfileSpanStack& stack) noexcept {
+  ThreadState* s = tls_state;  // pool workers register at startup
+  if (s == nullptr) return;
+  // Hide the stack from this thread's signal handler while the slots
+  // change: the handler runs on this same thread, so a signal fence keeps
+  // the compiler from sinking the zero-depth store below the slot writes.
+  s->span_depth.store(0, std::memory_order_relaxed);
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  const std::size_t named =
+      std::min<std::size_t>(stack.depth, kMaxProfileSpanDepth);
+  for (std::size_t i = 0; i < named; ++i) s->span_names[i] = stack.names[i];
+  s->span_depth.store(stack.depth, std::memory_order_release);
 }
 
 bool Profiler::start(int hz) {

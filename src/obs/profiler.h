@@ -35,6 +35,7 @@
 // `profile.available: false` with the errno and reason.  Never an error.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,6 +48,17 @@ namespace phonolid::obs {
 /// classic choice: cheap enough to stay under 1% overhead, dense enough
 /// that a quick-scale run collects thousands of samples.
 inline constexpr int kDefaultProfileHz = 99;
+
+/// Open span names recorded per sample; deeper spans are counted but not
+/// named.
+inline constexpr std::size_t kMaxProfileSpanDepth = 8;
+
+/// A thread's profiler span-name stack (interned names, outermost first;
+/// `depth` may exceed the named slots).  Part of obs::SpanContext.
+struct ProfileSpanStack {
+  std::array<const char*, kMaxProfileSpanDepth> names{};
+  std::uint32_t depth = 0;
+};
 
 /// One aggregated call stack: `count` samples observed this exact stack
 /// under this span path.  `frames` is root-first (outermost caller at
@@ -123,11 +135,17 @@ class Profiler {
   static void register_thread() noexcept;
 
   // Called by obs::Span (trace.cpp) on every span enter/exit: maintains
-  // the async-signal-safe span-name stack the handler tags samples with,
+  // the async-signal-safe span-name stack the handler tags samples with
+  // (`name` must live for the whole process; Span passes interned names),
   // and opportunistically drains this thread's ring when it is at least
   // half full.  A couple of relaxed atomic ops when idle.
   static void on_span_enter(const char* name) noexcept;
   static void on_span_exit() noexcept;
+
+  /// The calling thread's span-name stack, and its replacement (used by
+  /// obs::SpanContext to carry a fork-join caller's spans onto helpers).
+  [[nodiscard]] static ProfileSpanStack span_stack() noexcept;
+  static void set_span_stack(const ProfileSpanStack& stack) noexcept;
 
   /// Drain every thread's ring and return the aggregated, symbolized view.
   /// Safe to call while sampling continues (each ring yields a consistent

@@ -6,6 +6,7 @@
 #include <ctime>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <pthread.h>
@@ -85,9 +86,26 @@ ThreadTable& thread_table() {
   return t;
 }
 
+/// Span names may be `std::string::c_str()` of strings that die with the
+/// scope (the experiment's per-front-end spans do), yet flight-recorder
+/// events and profiler samples keep the pointer until export, so every
+/// name is interned once into a leaked pool; node-based unordered_set keeps
+/// c_str() stable across rehashes.
+const char* intern_span_name(const char* name) noexcept {
+  static std::mutex* mutex = new std::mutex();
+  static std::unordered_set<std::string>* pool =
+      new std::unordered_set<std::string>();
+  try {
+    std::lock_guard lock(*mutex);
+    return pool->emplace(name).first->c_str();
+  } catch (...) {
+    return "(intern-failed)";
+  }
+}
+
 }  // namespace
 
-Span::Span(const char* name) noexcept : name_(name) {
+Span::Span(const char* name) noexcept : name_(intern_span_name(name)) {
   ThreadTable& t = thread_table();
   parent_len_ = t.path.size();
   {
@@ -95,8 +113,8 @@ Span::Span(const char* name) noexcept : name_(name) {
     if (!t.path.empty()) t.path.push_back('/');
     t.path.append(name);
   }
-  Profiler::on_span_enter(name);
-  FlightRecorder::begin(name);
+  Profiler::on_span_enter(name_);
+  FlightRecorder::begin(name_);
   hw_valid_ = Perf::read_thread(hw_start_);
   cpu_start_s_ = thread_cpu_seconds();
   start_ = std::chrono::steady_clock::now();
@@ -186,6 +204,19 @@ std::vector<ActiveThread> Trace::active_threads() {
     out.push_back(std::move(a));
   }
   return out;
+}
+
+SpanContext SpanContext::capture() {
+  return {thread_table().path, Profiler::span_stack()};
+}
+
+void SpanContext::install() const {
+  ThreadTable& t = thread_table();
+  {
+    std::lock_guard lock(t.mutex);
+    t.path = path;
+  }
+  Profiler::set_span_stack(profile);
 }
 
 void Trace::reset() {

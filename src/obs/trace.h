@@ -1,7 +1,9 @@
 // Hierarchical trace spans with per-thread attribution.
 //
 // A Span is an RAII scope that measures wall time under a '/'-joined path
-// built from the enclosing spans *on the same thread*:
+// built from the enclosing spans on the same thread — or, inside
+// util::parallel_for blocks, from the forking caller's spans (see
+// SpanContext below):
 //
 //   void process() {
 //     PHONOLID_SPAN("pipeline");
@@ -26,6 +28,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/perf.h"
+#include "obs/profiler.h"
 
 namespace phonolid::obs {
 
@@ -73,6 +76,7 @@ struct SpanSnapshot {
 
 class Span {
  public:
+  /// `name` is copied (interned), so it may be a temporary string.
   explicit Span(const char* name) noexcept;
   ~Span();
   Span(const Span&) = delete;
@@ -125,6 +129,20 @@ class Trace {
 
   /// Drop all recorded statistics (active spans still record on exit).
   static void reset();
+};
+
+/// The span context a thread works under: its trace path (also the software
+/// energy model's charge key) and the profiler's span-name stack.
+/// util::parallel_for captures the forking caller's context and installs it
+/// on each helper while the helper runs the group's blocks.
+struct SpanContext {
+  std::string path;
+  ProfileSpanStack profile;
+
+  /// The calling thread's current context.
+  [[nodiscard]] static SpanContext capture();
+  /// Make this the calling thread's context.
+  void install() const;
 };
 
 #define PHONOLID_OBS_CAT2(a, b) a##b

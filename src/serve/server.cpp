@@ -332,6 +332,17 @@ void ScoreServer::accept_loop() {
     std::atomic<bool>& flag;
     ~AliveGuard() { flag.store(false, std::memory_order_release); }
   } guard{accept_alive_};
+  // Transient resource exhaustion (fd limit, socket buffers, thread limit).
+  // Dying here would leave a daemon that runs but never answers again, so
+  // count it, back off briefly (still watching the wake pipe for shutdown),
+  // and retry.
+  const auto back_off = [this](const char* what, const char* reason) {
+    accept_errors_.fetch_add(1, std::memory_order_relaxed);
+    registry().accept_errors.add();
+    std::fprintf(stderr, "serve: %s: %s (backing off)\n", what, reason);
+    pollfd wake{wake_pipe_[0], POLLIN, 0};
+    ::poll(&wake, 1, 100);
+  };
   for (;;) {
     reap_connection_threads();
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
@@ -346,25 +357,26 @@ void ScoreServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
           errno == ENOMEM || errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Transient resource exhaustion (fd limit, socket buffers).  Dying
-        // here would leave a daemon that runs but never answers again, so
-        // count it, back off briefly (still watching the wake pipe for
-        // shutdown), and retry.
-        accept_errors_.fetch_add(1, std::memory_order_relaxed);
-        registry().accept_errors.add();
-        std::fprintf(stderr, "serve: accept: %s (backing off)\n",
-                     std::strerror(errno));
-        pollfd wake{wake_pipe_[0], POLLIN, 0};
-        ::poll(&wake, 1, 100);
+        back_off("accept", std::strerror(errno));
         continue;
       }
       return;  // unrecoverable, e.g. EBADF after the listener closed
     }
     auto conn = std::make_shared<Connection>(fd);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(&ScoreServer::connection_loop, this,
-                               std::move(conn));
+    try {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conns_.push_back(conn);
+      conn_threads_.emplace_back(&ScoreServer::connection_loop, this, conn);
+    } catch (const std::exception& e) {
+      // Thread creation failed (std::system_error at the thread limit).
+      // Unregister; dropping the last reference closes the fd.
+      {
+        std::lock_guard<std::mutex> lock(conns_mu_);
+        std::erase(conns_, conn);
+      }
+      conn.reset();
+      back_off("connection thread", e.what());
+    }
   }
 }
 
@@ -374,9 +386,11 @@ void ScoreServer::connection_loop(std::shared_ptr<Connection> conn) {
   while (!poisoned) {
     try {
       if (!read_frame(conn->fd, body)) break;  // clean EOF
-    } catch (const util::SerializeError& e) {
-      // Oversized length prefix or mid-frame truncation: answer once,
-      // then stop trusting the stream.
+      handle_request(conn, decode_request(body));
+    } catch (const std::exception& e) {
+      // Bad framing, bad magic / version / body, or any failure while
+      // handling: answer once, then stop trusting the stream.  No exception
+      // may escape a serve thread.
       bad_frames_.fetch_add(1, std::memory_order_relaxed);
       registry().bad_frames.add();
       Response err;
@@ -385,27 +399,12 @@ void ScoreServer::connection_loop(std::shared_ptr<Connection> conn) {
       // The peer's version is unknowable here; v1 frames decode under
       // every client version, so answer with the oldest layout.
       err.wire_version = kMinServeProtocolVersion;
-      conn->send(err);
+      try {
+        conn->send(err);
+      } catch (const std::exception&) {  // closed below either way
+      }
       poisoned = true;
-      continue;
     }
-    Request request;
-    try {
-      request = decode_request(body);
-    } catch (const util::SerializeError& e) {
-      // Bad magic / wrong version / garbage body: the framing may still be
-      // intact, but resyncing against an incompatible peer is not worth it.
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      registry().bad_frames.add();
-      Response err;
-      err.status = Status::kBadRequest;
-      err.text = e.what();
-      err.wire_version = kMinServeProtocolVersion;
-      conn->send(err);
-      poisoned = true;
-      continue;
-    }
-    handle_request(conn, std::move(request));
   }
   // A poisoned stream is closed outright.  On clean EOF the peer may have
   // half-closed its write side and still be reading — queued responses for

@@ -3,7 +3,7 @@
 // A long-lived TCP server over a FrozenModel bundle (core/frozen_model.h):
 //
 //   accept thread ── one reader thread per connection ── bounded queue ──
-//   batcher thread ── FrozenModel::score_batch on the helping-wait pool
+//   batcher thread ── FrozenModel::score_batch as parallel_for task groups
 //
 // Dynamic micro-batching: the batcher pops the first queued request, waits
 // up to `batch_window_ms` for co-arrivals (or until `max_batch`), and scores

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace phonolid::util {
@@ -55,6 +56,9 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  /// Adopt row-major `data` of size rows * cols.
+  Matrix(std::size_t rows, std::size_t cols, AlignedVec data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {}
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

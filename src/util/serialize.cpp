@@ -1,6 +1,8 @@
 #include "util/serialize.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "util/matrix.h"
 
@@ -22,29 +24,22 @@ void BinaryWriter::write_i64(std::int64_t v) { raw(&v, sizeof v); }
 void BinaryWriter::write_f32(float v) { raw(&v, sizeof v); }
 void BinaryWriter::write_f64(double v) { raw(&v, sizeof v); }
 
-void BinaryWriter::write_string(const std::string& s) {
-  write_u64(s.size());
-  if (!s.empty()) raw(s.data(), s.size());
+template <typename Buffer>
+void BinaryWriter::write_array(const Buffer& v) {
+  write_u64(v.size());
+  if (!v.empty()) raw(v.data(), v.size() * sizeof(typename Buffer::value_type));
 }
 
-void BinaryWriter::write_bytes(const std::string& bytes) {
-  write_u64(bytes.size());
-  if (!bytes.empty()) raw(bytes.data(), bytes.size());
-}
-
+void BinaryWriter::write_string(const std::string& s) { write_array(s); }
+void BinaryWriter::write_bytes(const std::string& bytes) { write_array(bytes); }
 void BinaryWriter::write_f32_vec(const std::vector<float>& v) {
-  write_u64(v.size());
-  if (!v.empty()) raw(v.data(), v.size() * sizeof(float));
+  write_array(v);
 }
-
 void BinaryWriter::write_f64_vec(const std::vector<double>& v) {
-  write_u64(v.size());
-  if (!v.empty()) raw(v.data(), v.size() * sizeof(double));
+  write_array(v);
 }
-
 void BinaryWriter::write_u32_vec(const std::vector<std::uint32_t>& v) {
-  write_u64(v.size());
-  if (!v.empty()) raw(v.data(), v.size() * sizeof(std::uint32_t));
+  write_array(v);
 }
 
 void BinaryReader::raw(void* data, std::size_t bytes) {
@@ -52,6 +47,47 @@ void BinaryReader::raw(void* data, std::size_t bytes) {
   if (static_cast<std::size_t>(in_.gcount()) != bytes) {
     throw SerializeError("unexpected end of stream");
   }
+}
+
+namespace {
+
+/// Whether `in` certainly holds `bytes` more bytes: buffered already (all
+/// of a string stream is), or short of the end of a seekable stream.  Pipes
+/// and sockets get no credit.
+bool holds(std::istream& in, std::uint64_t bytes) {
+  std::streambuf* buf = in.rdbuf();
+  if (buf->in_avail() >= static_cast<std::streamsize>(bytes)) return true;
+  const std::streampos here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  const std::streampos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  buf->pubseekpos(here, std::ios::in);
+  return here != std::streampos(-1) &&
+         end - here >= static_cast<std::streamoff>(bytes);
+}
+
+}  // namespace
+
+template <typename Buffer>
+void BinaryReader::read_array(Buffer& out, std::uint64_t n) {
+  using T = typename Buffer::value_type;
+  constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
+  const std::uint64_t step =
+      holds(in_, n * sizeof(T)) ? n : kReadChunkBytes / sizeof(T);
+  out.clear();
+  for (std::uint64_t done = 0; done < n;) {
+    const std::uint64_t take = std::min(n - done, step);
+    out.resize(done + take);
+    raw(out.data() + done, take * sizeof(T));
+    done += take;
+  }
+}
+
+template <typename Buffer>
+Buffer BinaryReader::read_counted(std::uint64_t max_count, const char* what) {
+  const std::uint64_t n = read_u64();
+  if (n > max_count) throw SerializeError(what);
+  Buffer out;
+  read_array(out, n);
+  return out;
 }
 
 void BinaryReader::expect_magic(const char magic[4],
@@ -96,35 +132,20 @@ double BinaryReader::read_f64() {
 }
 
 std::string BinaryReader::read_string() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxStringBytes) throw SerializeError("string too long");
-  std::string s(n, '\0');
-  if (n > 0) raw(s.data(), n);
-  return s;
+  return read_counted<std::string>(kMaxStringBytes, "string too long");
 }
-
 std::string BinaryReader::read_bytes() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxElements) throw SerializeError("byte blob too long");
-  std::string s(n, '\0');
-  if (n > 0) raw(s.data(), n);
-  return s;
+  return read_counted<std::string>(kMaxElements, "byte blob too long");
 }
-
 std::vector<float> BinaryReader::read_f32_vec() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxElements) throw SerializeError("vector too long");
-  std::vector<float> v(n);
-  if (n > 0) raw(v.data(), n * sizeof(float));
-  return v;
+  return read_counted<std::vector<float>>(kMaxElements, "vector too long");
 }
-
 std::vector<double> BinaryReader::read_f64_vec() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxElements) throw SerializeError("vector too long");
-  std::vector<double> v(n);
-  if (n > 0) raw(v.data(), n * sizeof(double));
-  return v;
+  return read_counted<std::vector<double>>(kMaxElements, "vector too long");
+}
+std::vector<std::uint32_t> BinaryReader::read_u32_vec() {
+  return read_counted<std::vector<std::uint32_t>>(kMaxElements,
+                                                  "vector too long");
 }
 
 void write_matrix(BinaryWriter& w, const Matrix& m) {
@@ -142,17 +163,10 @@ Matrix read_matrix(BinaryReader& r) {
       (cols > 0 && rows > BinaryReader::kMaxElements / cols)) {
     throw SerializeError("matrix too large");
   }
-  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  if (rows * cols > 0) r.raw(m.data(), rows * cols * sizeof(float));
-  return m;
-}
-
-std::vector<std::uint32_t> BinaryReader::read_u32_vec() {
-  const std::uint64_t n = read_u64();
-  if (n > kMaxElements) throw SerializeError("vector too long");
-  std::vector<std::uint32_t> v(n);
-  if (n > 0) raw(v.data(), n * sizeof(std::uint32_t));
-  return v;
+  AlignedVec data;
+  r.read_array(data, rows * cols);
+  return Matrix(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols),
+                std::move(data));
 }
 
 }  // namespace phonolid::util

@@ -2,7 +2,11 @@
 //
 // A tagged little-endian stream: every model file starts with a 4-byte
 // magic and a format version so load errors are explicit rather than
-// garbage reads.  Readers validate sizes before allocating.
+// garbage reads.  Readers validate sizes before allocating, and bulk reads
+// (vectors, blobs, matrices) never allocate ahead of the input: unless the
+// stream can show every byte is present, they grow in bounded chunks, so a
+// hostile length prefix fails at end of stream having allocated about one
+// chunk.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +45,9 @@ class BinaryWriter {
  private:
   friend void write_matrix(BinaryWriter& w, const Matrix& m);
   void raw(const void* data, std::size_t bytes);
+  /// u64 element count, then the elements' bytes.
+  template <typename Buffer>
+  void write_array(const Buffer& v);
   std::ostream& out_;
 };
 
@@ -65,6 +72,15 @@ class BinaryReader {
  private:
   friend Matrix read_matrix(BinaryReader& r);
   void raw(void* data, std::size_t bytes);
+  /// Resize `out` (a std::vector or std::string) to `n` elements read from
+  /// the stream, growing it chunk by chunk unless the stream can show it
+  /// holds n elements' worth of bytes.
+  template <typename Buffer>
+  void read_array(Buffer& out, std::uint64_t n);
+  /// Counterpart of BinaryWriter::write_array; throws `what` when the
+  /// count exceeds `max_count`.
+  template <typename Buffer>
+  Buffer read_counted(std::uint64_t max_count, const char* what);
   std::istream& in_;
   // Guard against hostile / corrupt length prefixes.
   static constexpr std::uint64_t kMaxElements = 1ull << 32;

@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace phonolid::util {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 // Latency buckets spanning sub-microsecond queue waits up to multi-second
 // stalls (seconds, upper edges).
@@ -29,6 +33,12 @@ struct PoolMetrics {
       obs::Metrics::histogram("threadpool.task_wait_s", latency_edges());
   obs::Histogram& run_s =
       obs::Metrics::histogram("threadpool.task_run_s", latency_edges());
+
+  void add_queued(std::int64_t delta) {
+    const std::int64_t depth = queue_depth.add(delta);
+    PHONOLID_COUNTER_SAMPLE("threadpool.queue_depth",
+                            static_cast<double>(depth));
+  }
 };
 
 PoolMetrics& pool_metrics() {
@@ -37,6 +47,44 @@ PoolMetrics& pool_metrics() {
 }
 
 }  // namespace
+
+/// One parallel_for call.  Lives on the caller's stack: the caller withdraws
+/// its still-queued helper entries and waits for `active` to reach zero
+/// before returning, so no helper can touch it afterwards.
+struct ThreadPool::Group {
+  /// Claim and run blocks until the cursor passes the end.  Once any block
+  /// has thrown, claimed blocks are skipped; the first exception is kept.
+  void run_blocks() {
+    PoolMetrics& metrics = pool_metrics();
+    for (;;) {
+      const std::size_t b = next_block.fetch_add(1, std::memory_order_relaxed);
+      if (b >= num_blocks) return;
+      if (!failed.load(std::memory_order_relaxed)) {
+        const std::size_t lo = begin + b * block;
+        const std::size_t hi = std::min(end, lo + block);
+        const auto start = Clock::now();
+        try {
+          for (std::size_t i = lo; i < hi; ++i) body(i);
+        } catch (...) {
+          if (!failed.exchange(true)) error = std::current_exception();
+        }
+        metrics.run_s.observe(
+            std::chrono::duration<double>(Clock::now() - start).count());
+      }
+      metrics.completed.add();
+    }
+  }
+
+  const std::function<void(std::size_t)>& body;
+  const std::size_t begin, end, block, num_blocks;
+  const obs::SpanContext context = obs::SpanContext::capture();
+  const Clock::time_point forked = Clock::now();
+  std::atomic<std::size_t> next_block{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};  // written once, by whoever flipped `failed`
+  std::size_t active = 0;    // helpers inside run_blocks (pool mutex_)
+  std::condition_variable idle{};
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -57,75 +105,31 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  PoolMetrics& metrics = pool_metrics();
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push({std::move(pt), std::chrono::steady_clock::now()});
-  }
-  metrics.submitted.add();
-  const std::int64_t depth = metrics.queue_depth.add(1);
-  PHONOLID_COUNTER_SAMPLE("threadpool.queue_depth",
-                          static_cast<double>(depth));
-  cv_.notify_one();
-  return fut;
-}
-
-void ThreadPool::run_task(QueuedTask& item) {
-  using clock = std::chrono::steady_clock;
-  PoolMetrics& metrics = pool_metrics();
-  const std::int64_t depth = metrics.queue_depth.add(-1);
-  PHONOLID_COUNTER_SAMPLE("threadpool.queue_depth",
-                          static_cast<double>(depth));
-  const auto start = clock::now();
-  metrics.wait_s.observe(
-      std::chrono::duration<double>(start - item.enqueued).count());
-  item.task();  // packaged_task captures exceptions into the future
-  metrics.run_s.observe(
-      std::chrono::duration<double>(clock::now() - start).count());
-  metrics.completed.add();
-}
-
 void ThreadPool::worker_loop(std::size_t worker_index) {
   obs::FlightRecorder::set_thread_name("pool-worker-" +
                                        std::to_string(worker_index));
   // Register with the sampling profiler up front so a profiled run samples
-  // workers from their first task (arms this thread's timer if running).
+  // workers from their first block (arms this thread's timer if running).
   obs::Profiler::register_thread();
+  PoolMetrics& metrics = pool_metrics();
+  std::unique_lock lock(mutex_);
   for (;;) {
-    QueuedTask item;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      item = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    run_task(item);
-  }
-}
-
-bool ThreadPool::try_run_one() {
-  QueuedTask item;
-  {
-    std::lock_guard lock(mutex_);
-    if (tasks_.empty()) return false;
-    item = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  run_task(item);
-  return true;
-}
-
-void ThreadPool::wait_helping(std::future<void>& future) {
-  using namespace std::chrono_literals;
-  while (future.wait_for(0s) != std::future_status::ready) {
-    if (!try_run_one()) {
-      // Queue empty but our task still runs elsewhere; back off briefly.
-      future.wait_for(100us);
-    }
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping; callers withdraw their entries
+    Group* group = queue_.front();
+    queue_.pop_front();
+    ++group->active;
+    lock.unlock();
+    metrics.add_queued(-1);
+    metrics.wait_s.observe(
+        std::chrono::duration<double>(Clock::now() - group->forked).count());
+    group->context.install();
+    group->run_blocks();
+    obs::SpanContext{}.install();  // idle workers have no open spans
+    lock.lock();
+    // Notify under the lock: the caller cannot wake, return and destroy
+    // the group before this thread releases the mutex.
+    if (--group->active == 0) group->idle.notify_all();
   }
 }
 
@@ -151,35 +155,31 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     return;
   }
   // Over-decompose 4x for load balance; clamp block size to min_block.
-  std::size_t blocks = std::min(n, workers * 4);
-  std::size_t block = std::max(min_block, (n + blocks - 1) / blocks);
+  const std::size_t blocks = std::min(n, workers * 4);
+  const std::size_t block = std::max(min_block, (n + blocks - 1) / blocks);
 
-  std::vector<std::future<void>> futures;
-  futures.reserve((n + block - 1) / block);
-  std::atomic<bool> failed{false};
-  for (std::size_t lo = begin; lo < end; lo += block) {
-    const std::size_t hi = std::min(end, lo + block);
-    futures.push_back(pool.submit([lo, hi, &body, &failed] {
-      // Skip work if another block already threw; its exception wins.
-      if (failed.load(std::memory_order_relaxed)) return;
-      try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        throw;
-      }
-    }));
+  ThreadPool::Group group{body, begin, end, block, (n + block - 1) / block};
+  PoolMetrics& metrics = pool_metrics();
+  metrics.submitted.add(group.num_blocks);
+  // The caller runs blocks too, so one helper fewer than blocks suffices.
+  const std::size_t helpers = std::min(workers, group.num_blocks - 1);
+  {
+    std::lock_guard lock(pool.mutex_);
+    pool.queue_.insert(pool.queue_.end(), helpers, &group);
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    pool.wait_helping(f);
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  metrics.add_queued(static_cast<std::int64_t>(helpers));
+  for (std::size_t h = 0; h < helpers; ++h) pool.cv_.notify_one();
+
+  group.run_blocks();
+
+  std::size_t withdrawn = 0;
+  {
+    std::unique_lock lock(pool.mutex_);
+    withdrawn = std::erase(pool.queue_, &group);
+    group.idle.wait(lock, [&group] { return group.active == 0; });
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (withdrawn > 0) metrics.add_queued(-static_cast<std::int64_t>(withdrawn));
+  if (group.error) std::rethrow_exception(group.error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

@@ -1,28 +1,43 @@
-// Shared-memory parallelism substrate.
+// Shared-memory parallelism substrate: a fixed-size worker pool whose only
+// fork-join primitive is `parallel_for`, a structured task group (DESIGN.md
+// §6).  The caller queues at most num_threads() helper entries, claims
+// blocks itself from the group's atomic cursor, then withdraws its queued
+// entries and waits until no helper is inside the group.  A waiter only
+// runs its own group's blocks, so nesting cannot deadlock.  Helpers run
+// under the caller's obs::SpanContext, so spans, joules and profile samples
+// nest under the submitter's span at any pool width.  Parallel results
+// must go to disjoint, pre-sized slots (deterministic at any width).
 //
-// A fixed-size worker pool with a blocking task queue, plus a
-// `parallel_for` that block-partitions an index range across the pool.
-// Parallel results must be written to disjoint, pre-sized slots so the
-// outcome is independent of scheduling order (keeps experiments
-// deterministic under any thread count).
-//
-// The pool is instrumented via obs::Metrics (shared across all pools):
-//   threadpool.tasks_submitted / threadpool.tasks_completed   counters
-//   threadpool.queue_depth                                    gauge (+max)
-//   threadpool.task_wait_s / threadpool.task_run_s            histograms
+// Metrics (obs::Metrics, shared by all pools): threadpool.tasks_submitted /
+// tasks_completed count blocks; threadpool.queue_depth gauges queued helper
+// entries; threadpool.task_wait_s / task_run_s time helper queueing and
+// blocks.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace phonolid::util {
+
+class ThreadPool;
+
+/// Run body(i) for i in [begin, end) across the pool, in contiguous blocks.
+/// Blocks until every index is done.  Exceptions from the body propagate
+/// (the first one thrown is rethrown, after no helper still runs the
+/// group; blocks not yet started when it was thrown are skipped).
+void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body,
+                  std::size_t min_block = 1);
+
+/// Convenience overload on the global pool.
+void parallel_for(std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body,
+                  std::size_t min_block = 1);
 
 class ThreadPool {
  public:
@@ -35,49 +50,22 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t num_threads() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task; returns a future for its completion.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Pop one queued task and run it on the *calling* thread; returns false
-  /// when the queue is empty.  This is how blocked waiters (parallel_for,
-  /// pipeline::StageRunner) help drain the queue instead of deadlocking
-  /// when every worker is itself waiting on nested tasks.
-  bool try_run_one();
-
-  /// Wait for `future`, executing queued tasks while it is not ready.
-  /// Safe to call from pool workers (nested parallelism cannot deadlock:
-  /// the waiter makes progress on whatever is queued).
-  void wait_helping(std::future<void>& future);
-
   /// Process-wide pool, sized from PHONOLID_THREADS or hardware concurrency.
   static ThreadPool& global();
 
  private:
-  struct QueuedTask {
-    std::packaged_task<void()> task;
-    std::chrono::steady_clock::time_point enqueued;
-  };
+  struct Group;
+  friend void parallel_for(ThreadPool&, std::size_t, std::size_t,
+                           const std::function<void(std::size_t)>&,
+                           std::size_t);
 
-  void run_task(QueuedTask& item);
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
-  std::queue<QueuedTask> tasks_;
-  std::mutex mutex_;
+  std::deque<Group*> queue_;  // helper entries; a group appears once per slot
+  std::mutex mutex_;          // guards queue_, stop_ and every Group::active
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Run body(i) for i in [begin, end) across the pool, in contiguous blocks.
-/// Blocks until every index is done.  Exceptions from the body propagate
-/// (the first one encountered is rethrown).
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t min_block = 1);
-
-/// Convenience overload on the global pool.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t min_block = 1);
 
 }  // namespace phonolid::util

@@ -254,21 +254,21 @@ TEST(ThreadPoolMetrics, CountsTasksAndDrainsQueue) {
   const std::uint64_t sub0 = submitted.value();
   const std::uint64_t com0 = completed.value();
 
+  // 8 indices over 2 workers: 4x over-decomposition gives 8 one-index
+  // blocks per call, each counted as one task.
   util::ThreadPool pool(2);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([] {}));
+  for (int call = 0; call < 3; ++call) {
+    util::parallel_for(pool, 0, 8, [](std::size_t) {});
   }
-  for (auto& f : futures) f.get();
 
-  EXPECT_EQ(submitted.value() - sub0, 20u);
-  EXPECT_EQ(completed.value() - com0, 20u);
-  EXPECT_EQ(depth.value(), 0);  // fully drained
+  EXPECT_EQ(submitted.value() - sub0, 24u);
+  EXPECT_EQ(completed.value() - com0, 24u);
+  EXPECT_EQ(depth.value(), 0);  // every helper entry ran or was withdrawn
 
   const auto hists = obs::Metrics::histograms();
   ASSERT_TRUE(hists.count("threadpool.task_wait_s"));
   ASSERT_TRUE(hists.count("threadpool.task_run_s"));
-  EXPECT_GE(hists.at("threadpool.task_run_s").count, 20u);
+  EXPECT_GE(hists.at("threadpool.task_run_s").count, 24u);
 }
 
 // --- JSON -----------------------------------------------------------------
@@ -624,6 +624,37 @@ TEST(ChromeTrace, ExportedFileIsValidAndMatched) {
   EXPECT_TRUE(saw_worker_name);
   EXPECT_TRUE(saw_instant);
   EXPECT_TRUE(saw_counter);
+}
+
+TEST(ChromeTrace, TemporarySpanNamesSurviveUntilExport) {
+  // Span names built at run time (the experiment's "subsystem/<name>")
+  // die with their scope, long before the trace is exported.
+  RecorderGuard guard;
+  obs::FlightRecorder::enable();
+  const std::string want = "ct_dynamic/" + std::string(40, 'x');
+  {
+    std::string name = want;
+    obs::Span span(name.c_str());
+    name.assign(name.size(), '?');  // the span must not see this either
+  }
+  obs::FlightRecorder::disable();
+
+  const std::string path = testing::TempDir() + "phonolid_test_trace2.json";
+  obs::write_chrome_trace(path);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::remove(path.c_str());
+  const obs::Json doc = obs::Json::parse(buf.str());
+  int begins = 0;
+  for (const obs::Json& e : doc.find("traceEvents")->as_array()) {
+    if (e.find("ph")->as_string() == "B" &&
+        e.find("name")->as_string() == want) {
+      ++begins;
+    }
+  }
+  EXPECT_EQ(begins, 1);
 }
 
 TEST(ChromeTrace, WraparoundOrphansAndOpenSpansStayMatched) {

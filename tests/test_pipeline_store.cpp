@@ -15,9 +15,7 @@
 
 #include "obs/metrics.h"
 #include "pipeline/stage_key.h"
-#include "pipeline/stage_runner.h"
 #include "util/serialize.h"
-#include "util/thread_pool.h"
 
 namespace phonolid::pipeline {
 namespace {
@@ -383,47 +381,6 @@ TEST_F(ArtifactStoreTest, ConcurrentWritersSameKeyAreSafe) {
   int post = 0;
   EXPECT_EQ(roundtrip(store, key, "unused", post), "shared-value");
   EXPECT_EQ(post, 0);
-}
-
-TEST(StageRunner, RunsEveryStageOnce) {
-  StageRunner runner;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 5; ++i) {
-    runner.add("stage" + std::to_string(i), [&] { ran.fetch_add(1); });
-  }
-  EXPECT_EQ(runner.size(), 5u);
-  runner.run_all();
-  EXPECT_EQ(ran.load(), 5);
-  EXPECT_EQ(runner.size(), 0u);  // list cleared; re-running is a no-op
-  runner.run_all();
-  EXPECT_EQ(ran.load(), 5);
-}
-
-TEST(StageRunner, NestedParallelForDoesNotDeadlock) {
-  // Each stage runs a parallel_for on the same pool the runner schedules
-  // stages on; the helping-wait must drain nested tasks even when stages
-  // occupy every worker.
-  util::ThreadPool pool(2);
-  StageRunner runner(pool);
-  std::atomic<int> total{0};
-  for (int s = 0; s < 4; ++s) {
-    runner.add("nested" + std::to_string(s), [&] {
-      util::parallel_for(pool, std::size_t{0}, std::size_t{100},
-                         [&](std::size_t) { total.fetch_add(1); });
-    });
-  }
-  runner.run_all();
-  EXPECT_EQ(total.load(), 400);
-}
-
-TEST(StageRunner, FirstExceptionPropagatesAfterAllStagesFinish) {
-  StageRunner runner;
-  std::atomic<int> ran{0};
-  runner.add("ok1", [&] { ran.fetch_add(1); });
-  runner.add("boom", [] { throw std::runtime_error("stage failed"); });
-  runner.add("ok2", [&] { ran.fetch_add(1); });
-  EXPECT_THROW(runner.run_all(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 2);  // healthy stages still completed
 }
 
 }  // namespace

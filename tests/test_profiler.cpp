@@ -1,5 +1,5 @@
 // Tests for the sampling CPU profiler (obs/profiler.h): sample capture
-// under the helping-wait thread pool at several widths, ring wraparound
+// under parallel_for task groups at several pool widths, ring wraparound
 // with nonzero drop counters, the forced-timer_create degradation path,
 // the folded-stack export format, and the report-diff self-share gate.
 //

@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/matrix.h"
 
 namespace phonolid::util {
 namespace {
@@ -118,6 +130,108 @@ TEST(Serialize, OversizedStringLengthThrows) {
   w.write_u64((1ull << 20) + 1);
   BinaryReader r(ss);
   EXPECT_THROW(r.read_string(), SerializeError);
+}
+
+/// A stream buffer that cannot seek, like a pipe or a socket: bulk reads
+/// from it cannot learn how much is left and take the chunked path.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string data) : data_(std::move(data)) {}
+
+ protected:
+  int_type underflow() override {
+    return pos_ < data_.size() ? traits_type::to_int_type(data_[pos_])
+                               : traits_type::eof();
+  }
+  int_type uflow() override {
+    return pos_ < data_.size() ? traits_type::to_int_type(data_[pos_++])
+                               : traits_type::eof();
+  }
+  std::streamsize xsgetn(char* out, std::streamsize n) override {
+    const auto take = std::min<std::size_t>(static_cast<std::size_t>(n),
+                                            data_.size() - pos_);
+    std::memcpy(out, data_.data() + pos_, take);
+    pos_ += take;
+    return static_cast<std::streamsize>(take);
+  }
+
+ private:
+  std::string data_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Serialize, LargeVectorRoundTripsThroughChunkedReads) {
+  // 3 MiB of floats crosses several read chunks on an unseekable stream.
+  std::vector<float> big(3u << 18);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<float>(i);
+  Matrix m(700, 1500);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = 0.5f * static_cast<float>(i);
+  }
+  std::ostringstream out;
+  BinaryWriter w(out);
+  w.write_f32_vec(big);
+  write_matrix(w, m);
+  UnseekableBuf buf(out.str());
+  std::istream in(&buf);
+  BinaryReader r(in);
+  EXPECT_EQ(r.read_f32_vec(), big);
+  EXPECT_EQ(read_matrix(r), m);
+}
+
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(Serialize, HugeCountOnTruncatedBodyFailsWithinBoundedMemory) {
+  // Each read claims ~16 GiB (2^32 four-byte elements, or a 2^32-byte blob,
+  // or a 65536 x 65536 matrix) but the body holds 8 bytes.  Every read must
+  // fail cleanly with SerializeError having allocated about one read
+  // chunk, from string, file and unseekable streams alike.
+  const std::uint64_t claimed = std::uint64_t{1} << 32;
+  const auto framed = [](const std::function<void(BinaryWriter&)>& prefix) {
+    std::ostringstream out;
+    BinaryWriter w(out);
+    prefix(w);
+    w.write_u64(0x0123456789ABCDEFull);  // the only payload bytes present
+    return out.str();
+  };
+  const std::vector<std::pair<std::string, std::function<void(BinaryReader&)>>>
+      cases = {
+          {framed([&](BinaryWriter& w) { w.write_u64(claimed); }),
+           [](BinaryReader& r) { (void)r.read_f32_vec(); }},
+          {framed([&](BinaryWriter& w) { w.write_u64(claimed / 2); }),
+           [](BinaryReader& r) { (void)r.read_f64_vec(); }},
+          {framed([&](BinaryWriter& w) { w.write_u64(claimed); }),
+           [](BinaryReader& r) { (void)r.read_u32_vec(); }},
+          {framed([&](BinaryWriter& w) { w.write_u64(claimed); }),
+           [](BinaryReader& r) { (void)r.read_bytes(); }},
+          {framed([&](BinaryWriter& w) {
+             w.write_u64(1u << 16);
+             w.write_u64(1u << 16);
+           }),
+           [](BinaryReader& r) { (void)read_matrix(r); }},
+      };
+  const std::string path = testing::TempDir() + "phonolid_huge_count.bin";
+  const long before = peak_rss_kib();
+  for (const auto& [bytes, read] : cases) {
+    std::istringstream string_in(bytes);
+    BinaryReader r1(string_in);
+    EXPECT_THROW(read(r1), SerializeError);
+    std::ofstream(path, std::ios::binary) << bytes;
+    std::ifstream file_in(path, std::ios::binary);
+    BinaryReader r2(file_in);
+    EXPECT_THROW(read(r2), SerializeError);
+    UnseekableBuf buf(bytes);
+    std::istream unseekable_in(&buf);
+    BinaryReader r3(unseekable_in);
+    EXPECT_THROW(read(r3), SerializeError);
+  }
+  std::remove(path.c_str());
+  // Claimed: 16 GiB per read.  Allowed: well under 1% of that.
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
 }
 
 }  // namespace

@@ -532,6 +532,27 @@ TEST_F(ServeTest, TruncatedFrameDoesNotWedgeTheServer) {
   expect_server_alive(ts);
 }
 
+TEST_F(ServeTest, HugeSampleCountFrameGetsBadRequestAndKeepsServing) {
+  // A 48-byte score frame whose sample count claims 2^32 floats (16 GiB)
+  // with 8 bytes of PCM behind it: the daemon must answer BAD_REQUEST
+  // without allocating the claimed size, and keep serving.
+  TestServer ts(*model_);
+  Client probe = connect_to(ts);
+  Request score;
+  score.type = FrameType::kScore;
+  score.request_id = 9;
+  score.samples = {0.25f, -0.25f};
+  std::string body = encode_request(score);
+  const std::uint64_t huge = std::uint64_t{1} << 32;
+  // The count is the u64 in front of the two trailing samples.
+  std::memcpy(body.data() + body.size() - 2 * sizeof(float) - sizeof huge,
+              &huge, sizeof huge);
+  EXPECT_EQ(body.size(), 48u);
+  ASSERT_TRUE(write_frame(probe.fd(), body));
+  expect_bad_request_then_close(probe.fd());
+  expect_server_alive(ts);
+}
+
 // --- request-scoped tracing (PLSV v2) -------------------------------------
 
 TEST_F(ServeTest, TraceIdsAreMintedAndClientIdsAreEchoed) {
