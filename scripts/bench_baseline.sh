@@ -25,8 +25,8 @@ if [[ ! -x "$PHONOLID" ]]; then
 fi
 
 # Baselines always carry the deterministic software energy model so the
-# tier-1 energy gate (`report-diff --max-energy-delta-pct`) has joule leaves
-# to compare.  NOTE: software joules measure work actually done — regenerate
+# tier-1 energy gate (`report-diff --gate 'energy/total_joules:rel<=0.01'`
+# and its per-utterance siblings) has joule leaves to compare.  NOTE: software joules measure work actually done — regenerate
 # BENCH_<scale>_run.json with a *fresh* store (unset/clear PHONOLID_CACHE)
 # or the warm `run` will bake in a fraction of the cold energy and the
 # tier-1 cold-cache smoke will trip its gate.

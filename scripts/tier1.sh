@@ -54,6 +54,14 @@ cmake --build build -j --target bench_kernels
 # reference trajectory.
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+# report-diff gates (`--gate PATTERN:CHECK[,CHECK...]`, see
+# src/obs/report_diff.h).  EXACT: accuracy leaves must not move at all.
+# QUALITY: accuracy and calibration within budget of the committed baseline:
+# EER/Cavg up at most 2 points, Cllr/min-Cllr up at most 0.25, adoption
+# precision down at most 0.05.
+EXACT=(--gate '*/eer:delta<=0' --gate '*/cavg:delta<=0')
+QUALITY=(--gate '*/eer:delta<=0.02' --gate '*/cavg:delta<=0.02'
+  --gate '*cllr:delta<=0.25' --gate '*/adoption*/precision:delta>=-0.05')
 # Artifact store: $PHONOLID_CACHE (CI restores one across runs) or a temp
 # dir.  Either way the cold/warm pair below shares it.
 CACHE_DIR="${PHONOLID_CACHE:-$TMP/cache}"
@@ -68,8 +76,7 @@ test -s "$TMP/quick.prom"
 test -s "$TMP/quick.ledger.jsonl"
 ./build/tools/phonolid report-diff "$TMP/quick.report.json" "$TMP/quick.report.json" > /dev/null
 ./build/tools/phonolid report-diff BENCH_quick_run.json "$TMP/quick.report.json" \
-  --max-eer-delta 0.02 --max-cavg-delta 0.02 --max-cllr-delta 0.25 \
-  --max-adoption-precision-drop 0.05
+  "${QUALITY[@]}"
 
 # Artifact-store determinism gate: the warm run (every stage a cache hit)
 # must reproduce the cold run's accuracy leaves *exactly* — zero EER/Cavg
@@ -85,7 +92,7 @@ PHONOLID_THREADS=4 ./build/tools/phonolid run --scale quick \
 cmp "$TMP/quick.ledger.jsonl" "$TMP/warm_t1.ledger.jsonl"
 cmp "$TMP/quick.ledger.jsonl" "$TMP/warm_t4.ledger.jsonl"
 ./build/tools/phonolid report-diff "$TMP/quick.report.json" "$TMP/warm.report.json" \
-  --max-eer-delta 0
+  "${EXACT[@]}"
 ./build/tools/phonolid pipeline status --cache-dir "$CACHE_DIR"
 ./build/tools/phonolid pipeline gc --cache-dir "$CACHE_DIR"
 
@@ -103,18 +110,28 @@ cmp "$TMP/quick.ledger.jsonl" "$TMP/warm_t4.ledger.jsonl"
   --cache-dir "$TMP/stream17-cache"
 cmp "$TMP/quick.ledger.jsonl" "$TMP/stream17.ledger.jsonl"
 ./build/tools/phonolid report-diff "$TMP/quick.report.json" \
-  "$TMP/stream17.report.json" --max-eer-delta 0
+  "$TMP/stream17.report.json" "${EXACT[@]}"
 grep -q '"streaming"' "$TMP/stream17.report.json"
 ./build/tools/phonolid run --scale quick --chunk-ms 250 \
   --ledger "$TMP/stream250.ledger.jsonl" --cache-dir "$TMP/stream250-cache"
 cmp "$TMP/quick.ledger.jsonl" "$TMP/stream250.ledger.jsonl"
-# Invalid streaming flags must exit 2 before any work happens.
-rc=0
-./build/tools/phonolid run --scale quick --chunk-ms 0 2> /dev/null || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "run: --chunk-ms 0 should exit 2 (got $rc)" >&2
-  exit 1
-fi
+# Usage errors must exit 2 before any work happens: invalid streaming
+# flags, a malformed report-diff gate, a removed threshold flag, and a flag
+# given twice.
+expect_exit2() {  # expect_exit2 <command...>
+  local rc=0
+  "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$* should exit 2 (got $rc)" >&2
+    exit 1
+  fi
+}
+expect_exit2 ./build/tools/phonolid run --scale quick --chunk-ms 0
+expect_exit2 ./build/tools/phonolid run --scale quick --seed 1 --seed 2
+expect_exit2 ./build/tools/phonolid report-diff BENCH_quick_run.json \
+  BENCH_quick_run.json --gate '*/eer:delta<0.02'
+expect_exit2 ./build/tools/phonolid report-diff BENCH_quick_run.json \
+  BENCH_quick_run.json --max-eer-delta 0.02
 
 # Energy-accounting smoke: a run with the deterministic software cost model
 # must stay within 1% of the committed baseline's joules.  This run gets its
@@ -130,9 +147,9 @@ PHONOLID_ENERGY=software PHONOLID_PROFILE=cpu \
   --report "$TMP/energy.report.json" --cache-dir "$TMP/energy-cache"
 test -s "$TMP/quick.folded"
 ./build/tools/phonolid report-diff BENCH_quick_run.json "$TMP/energy.report.json" \
-  --max-energy-delta-pct 1 --max-eer-delta 0.02 --max-cavg-delta 0.02 \
-  --max-cllr-delta 0.25 --max-adoption-precision-drop 0.05 \
-  --max-self-share-delta 0.2
+  --gate 'energy/total_joules:rel<=0.01' \
+  --gate 'energy/joules_per_*utterance:rel<=0.01' "${QUALITY[@]}" \
+  --gate 'profile/functions/*/self_share:delta<=0.2'
 # Per-stage watts table, kept with the CI artifacts.
 ./build/tools/phonolid power --input "$TMP/energy.report.json" \
   | tee "$TMP/quick.power.txt"
@@ -145,7 +162,8 @@ test -s "$TMP/quick.folded"
 grep -Eo '[0-9.]+% of samples attributed' "$TMP/quick.flame.txt" \
   | awk -F% '{ if ($1 < 95) { print "profile attribution below 95%: " $1 "%"; exit 1 } }'
 ./build/tools/phonolid report-diff "$TMP/energy.report.json" \
-  "$TMP/energy.report.json" --max-self-share-delta 0 > /dev/null
+  "$TMP/energy.report.json" --gate 'profile/functions/*/self_share:delta<=0' \
+  > /dev/null
 
 # Span-shape gate: a span path is the task's logical nesting, not an
 # accident of which thread ran it, so a cold single-threaded run must
@@ -160,13 +178,8 @@ python3 -c 'import json,sys; m=[{s["path"]:s["count"] for s in json.load(open(p)
 # must resolve a recorded utterance id, and an unknown id must exit 2.
 ./build/tools/phonolid diag --ledger "$TMP/quick.ledger.jsonl" > /dev/null
 ./build/tools/phonolid explain 0 --scale quick --ledger "$TMP/quick.ledger.jsonl" > /dev/null
-rc=0
-./build/tools/phonolid explain 999999999 --scale quick \
-  --ledger "$TMP/quick.ledger.jsonl" 2> /dev/null || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "explain: unknown id should exit 2 (got $rc)" >&2
-  exit 1
-fi
+expect_exit2 ./build/tools/phonolid explain 999999999 --scale quick \
+  --ledger "$TMP/quick.ledger.jsonl"
 
 # Serve gate: the train/infer split end to end.  Freeze a bundle from the
 # warm cache, serve it as a daemon, and drive it with the closed-loop load
@@ -229,8 +242,8 @@ if [ "${SCRAPE_TOTAL%.*}" != "$STATS_TOTAL" ]; then
   exit 1
 fi
 ./build/tools/phonolid report-diff BENCH_serve.json "$TMP/serve.report.json" \
-  --max-serve-p99-regress 400 --max-serve-throughput-drop 90 \
-  --max-phase-p99-regress 400
+  --gate 'serve/latency_ms/p99:rel<=4' --gate 'serve/throughput_rps:rel>=-0.9' \
+  --gate 'serve/phases/*/p99*:rel<=4,delta<=1'
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 grep -q "drained and stopped" "$TMP/serve.log"

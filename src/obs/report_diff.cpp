@@ -1,104 +1,93 @@
 #include "obs/report_diff.h"
 
+#include <fnmatch.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
-#include <initializer_list>
+#include <cstdlib>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace phonolid::obs {
 
 namespace {
 
-std::map<std::string, double> span_means(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* spans = report.find("spans");
-  if (spans == nullptr || !spans->is_array()) return out;
-  for (const Json& s : spans->as_array()) {
-    const Json* path = s.find("path");
-    const Json* mean = s.find("mean_s");
-    if (path != nullptr && path->is_string() && mean != nullptr &&
-        mean->is_number()) {
-      out[path->as_string()] = mean->as_double();
+using Leaves = std::map<std::string, double>;
+
+bool glob_match(const char* pattern, const std::string& key) {
+  return fnmatch(pattern, key.c_str(), 0) == 0;
+}
+
+/// The leaves report-diff compares.  Everything else a report carries
+/// (meta, experiment, dba, cache, streaming, gauges, histograms, raw
+/// profiler sample counts, per-thread span splits) is context.
+constexpr const char* kCompared[] = {
+    "spans/*/mean_s", "metrics/counters/*",
+    "results/*",      "quality/*",
+    "resource/*",     "energy/*",
+    "hw/*",           "serve/*",
+    "profile/hz",     "profile/symbolized_share",
+    "profile/functions/*_share", "profile/spans/*/share"};
+/// Bulky quality subtrees that change shape freely; gating happens on the
+/// derived scalars instead.
+constexpr const char* kNotCompared[] = {"quality/det/*", "quality/histogram/*",
+                                        "quality/confusion/*"};
+
+bool compared(const std::string& key) {
+  const auto match = [&](const char* p) { return glob_match(p, key); };
+  return std::any_of(std::begin(kCompared), std::end(kCompared), match) &&
+         std::none_of(std::begin(kNotCompared), std::end(kNotCompared), match);
+}
+
+/// An array element that names itself ("path" of a span, "name" of a
+/// profiled function) is keyed by that name, so keys survive reordering.
+std::string element_key(const Json& element, std::size_t index) {
+  if (element.is_object()) {
+    for (const char* field : {"path", "name"}) {
+      const Json* id = element.find(field);
+      if (id != nullptr && id->is_string()) return id->as_string();
     }
   }
-  return out;
+  return std::to_string(index);
 }
 
-std::map<std::string, double> counter_values(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* metrics = report.find("metrics");
-  const Json* counters =
-      metrics == nullptr ? nullptr : metrics->find("counters");
-  if (counters == nullptr || !counters->is_object()) return out;
-  for (const auto& [name, v] : counters->as_object()) {
-    if (v.is_number()) out[name] = v.as_double();
-  }
-  return out;
-}
-
-/// Flatten every numeric leaf under "results" into "results/a/b"-style keys
-/// (array elements indexed numerically), so reports from any command
-/// compare structurally.
-void collect_numeric_leaves(const Json& node, const std::string& prefix,
-                            std::map<std::string, double>& out) {
+/// The one walker: every numeric leaf under `node`, keyed by its path.
+void flatten(const Json& node, const std::string& prefix, Leaves& out) {
   if (node.is_object()) {
     for (const auto& [key, value] : node.as_object()) {
-      collect_numeric_leaves(value, prefix + "/" + key, out);
+      flatten(value, prefix + "/" + key, out);
     }
   } else if (node.is_array()) {
     const auto& arr = node.as_array();
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      collect_numeric_leaves(arr[i], prefix + "/" + std::to_string(i), out);
+      flatten(arr[i], prefix + "/" + element_key(arr[i], i), out);
     }
   } else if (node.is_number()) {
     out[prefix] = node.as_double();
   }
 }
 
-std::map<std::string, double> result_leaves(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* results = report.find("results");
-  if (results != nullptr) collect_numeric_leaves(*results, "results", out);
-  return out;
-}
-
-/// Scalar + per-language/per-round "quality" leaves.  The bulky subtrees
-/// (DET staircase, histograms, confusion counts) are deliberately not
-/// diffed — they change shape freely and gating happens on the derived
-/// scalars instead.
-std::map<std::string, double> quality_leaves(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* quality = report.find("quality");
-  if (quality == nullptr || !quality->is_object()) return out;
-  for (const auto& [key, value] : quality->as_object()) {
-    if (key == "det" || key == "histogram" || key == "confusion") continue;
-    collect_numeric_leaves(value, "quality/" + key, out);
+Leaves all_leaves(const Json& report) {
+  Leaves out;
+  if (!report.is_object()) return out;
+  for (const auto& [section, value] : report.as_object()) {
+    flatten(value, section, out);
   }
   return out;
 }
 
-std::map<std::string, double> resource_leaves(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* resource = report.find("resource");
-  if (resource != nullptr) collect_numeric_leaves(*resource, "resource", out);
+Leaves compared_leaves(const Leaves& all) {
+  Leaves out;
+  for (const auto& [key, value] : all) {
+    if (compared(key)) out.emplace(key, value);
+  }
   return out;
-}
-
-std::map<std::string, double> section_leaves(const Json& report,
-                                             const std::string& section) {
-  std::map<std::string, double> out;
-  const Json* node = report.find(section);
-  if (node != nullptr) collect_numeric_leaves(*node, section, out);
-  return out;
-}
-
-/// The "energy" leaves that --max-energy-delta-pct gates; everything else
-/// in the section (gflops, watts, sampler stats) is report-only.
-bool is_gated_energy_leaf(const std::string& key) {
-  return key == "energy/total_joules" || key == "energy/joules_per_utterance" ||
-         key == "energy/joules_per_test_utterance";
 }
 
 const char* energy_source(const Json& report) {
@@ -108,90 +97,25 @@ const char* energy_source(const Json& report) {
                                                   : nullptr;
 }
 
-/// Flatten the "profile" section's *share* leaves, keyed by function name /
-/// span path rather than array index so the comparison is stable when the
-/// top-N ordering shifts between runs.  Raw sample counts are machine- and
-/// duration-dependent, so only the section scalars that are meaningful to
-/// compare (hz, symbolized_share) and the 0..1 share leaves are emitted.
-std::map<std::string, double> profile_leaves(const Json& report) {
-  std::map<std::string, double> out;
-  const Json* profile = report.find("profile");
-  if (profile == nullptr || !profile->is_object()) return out;
-  for (const char* key : {"hz", "symbolized_share"}) {
-    if (const Json* v = profile->find(key); v != nullptr && v->is_number()) {
-      out[std::string("profile/") + key] = v->as_double();
-    }
-  }
-  if (const Json* functions = profile->find("functions");
-      functions != nullptr && functions->is_array()) {
-    for (const Json& fn : functions->as_array()) {
-      const Json* name = fn.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      const std::string prefix = "profile/functions/" + name->as_string();
-      for (const char* key : {"self_share", "total_share"}) {
-        if (const Json* v = fn.find(key); v != nullptr && v->is_number()) {
-          out[prefix + "/" + key] = v->as_double();
-        }
-      }
-    }
-  }
-  if (const Json* spans = profile->find("spans");
-      spans != nullptr && spans->is_array()) {
-    for (const Json& span : spans->as_array()) {
-      const Json* path = span.find("path");
-      const Json* share = span.find("share");
-      if (path != nullptr && path->is_string() && share != nullptr &&
-          share->is_number()) {
-        out["profile/spans/" + path->as_string() + "/share"] =
-            share->as_double();
-      }
-    }
-  }
-  return out;
-}
-
-/// A numeric leaf fetched by path, or 0 when absent/non-numeric.
-double numeric_at(const Json& report,
-                  std::initializer_list<const char*> path) {
-  const Json* node = &report;
-  for (const char* key : path) {
-    node = node->is_object() ? node->find(key) : nullptr;
-    if (node == nullptr) return 0.0;
-  }
-  return node->is_number() ? node->as_double() : 0.0;
-}
-
 /// Nonzero ring-drop counts mean the trace/profile under comparison is
 /// incomplete; say so loudly instead of letting a truncated run pass a gate.
-void note_drops(const Json& report, const char* side,
-                ReportDiffResult& result) {
-  const double recorder_drops =
-      numeric_at(report, {"resource", "flight_recorder", "dropped_events"});
-  if (recorder_drops > 0) {
+void note_drops(const Leaves& all, const char* side, ReportDiffResult& result) {
+  const auto count = [&](const char* key) {
+    const auto it = all.find(key);
+    return it == all.end() ? 0LL : static_cast<long long>(it->second);
+  };
+  if (const long long n = count("resource/flight_recorder/dropped_events");
+      n > 0) {
     result.notes.push_back(
-        "WARNING: " + std::string(side) + " dropped " +
-        std::to_string(static_cast<long long>(recorder_drops)) +
+        "WARNING: " + std::string(side) + " dropped " + std::to_string(n) +
         " flight-recorder events — its trace is truncated");
   }
-  const double profile_drops = numeric_at(report, {"profile", "dropped"});
-  if (profile_drops > 0) {
-    result.notes.push_back(
-        "WARNING: " + std::string(side) + " dropped " +
-        std::to_string(static_cast<long long>(profile_drops)) +
-        " profiler samples — its profile is incomplete");
+  if (const long long n = count("profile/dropped"); n > 0) {
+    result.notes.push_back("WARNING: " + std::string(side) + " dropped " +
+                           std::to_string(n) +
+                           " profiler samples — its profile is incomplete");
   }
 }
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Absolute floor under the serve/phases/*/p99[9] gate: the phase
-/// histograms have 0.1 ms buckets, so a one-bucket wobble is a huge
-/// relative change on a fast phase; require the regression to also exceed
-/// this many milliseconds before it can violate.
-constexpr double kPhaseP99SlackMs = 1.0;
 
 /// Forward compatibility: a newer binary may emit top-level sections this
 /// tool has never heard of.  They must surface as notes and be skipped, not
@@ -214,33 +138,87 @@ void note_unknown_sections(const Json& report, const char* side,
   }
 }
 
-/// Walk two keyed maps in lockstep: common keys produce rows via `on_both`,
-/// one-sided keys produce notes.
-template <typename OnBoth>
-void compare_maps(const std::map<std::string, double>& base,
-                  const std::map<std::string, double>& cur,
-                  const std::string& kind, ReportDiffResult& result,
-                  OnBoth on_both) {
-  for (const auto& [key, b] : base) {
-    const auto it = cur.find(key);
-    if (it == cur.end()) {
-      result.notes.push_back(kind + " only in baseline: " + key);
-    } else {
-      on_both(key, b, it->second);
+bool holds(const GateCheck& check, double base, double cur) {
+  double value = base;
+  if (check.measure == GateCheck::Measure::kDelta) value = cur - base;
+  if (check.measure == GateCheck::Measure::kRel) value = (cur - base) / base;
+  return check.at_most ? value <= check.limit : value >= check.limit;
+}
+
+void apply_gates(const std::vector<Gate>& gates, bool energy_gated,
+                 ReportDiffRow& row) {
+  for (const Gate& gate : gates) {
+    if (!glob_match(gate.pattern.c_str(), row.key)) continue;
+    if (row.kind == "energy" && !energy_gated) continue;
+    const auto is_rel = [](const GateCheck& c) {
+      return c.measure == GateCheck::Measure::kRel;
+    };
+    if (row.base <= 0.0 &&
+        std::any_of(gate.checks.begin(), gate.checks.end(), is_rel)) {
+      continue;
     }
-  }
-  for (const auto& [key, c] : cur) {
-    (void)c;
-    if (base.find(key) == base.end()) {
-      result.notes.push_back(kind + " only in current: " + key);
-    }
+    const bool pass = std::any_of(
+        gate.checks.begin(), gate.checks.end(),
+        [&](const GateCheck& c) { return holds(c, row.base, row.cur); });
+    if (!row.gated || (!pass && !row.violation)) row.gate = gate.spec;
+    row.gated = true;
+    row.violation = row.violation || !pass;
   }
 }
 
 }  // namespace
 
+Gate parse_gate(const std::string& spec) {
+  const auto fail = [&](const std::string& why) {
+    throw std::invalid_argument("bad gate '" + spec + "': " + why +
+                                " (expected PATTERN:CHECK[,CHECK...], a "
+                                "CHECK like delta<=0.02, rel>=-0.9, base<=1)");
+  };
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos) fail("no ':'");
+  Gate gate;
+  gate.spec = spec;
+  gate.pattern = spec.substr(0, colon);
+  if (gate.pattern.empty()) fail("empty pattern");
+  // getline drops a trailing empty field, so catch "...," here.
+  if (spec.back() == ',') fail("empty check");
+  std::istringstream checks(spec.substr(colon + 1));
+  std::string text;
+  while (std::getline(checks, text, ',')) {
+    std::size_t i = 0;
+    while (i < text.size() &&
+           std::isalpha(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    const std::string measure = text.substr(0, i);
+    GateCheck check;
+    if (measure == "delta") {
+      check.measure = GateCheck::Measure::kDelta;
+    } else if (measure == "rel") {
+      check.measure = GateCheck::Measure::kRel;
+    } else if (measure == "base") {
+      check.measure = GateCheck::Measure::kBase;
+    } else {
+      fail("unknown measure '" + measure + "' (delta, rel or base)");
+    }
+    const std::string op = text.substr(i, 2);
+    if (op != "<=" && op != ">=") fail("expected <= or >= in '" + text + "'");
+    check.at_most = op == "<=";
+    const std::string limit = text.substr(i + 2);
+    char* end = nullptr;
+    check.limit = std::strtod(limit.c_str(), &end);
+    if (limit.empty() || std::isspace(static_cast<unsigned char>(limit[0])) ||
+        end != limit.c_str() + limit.size() || !std::isfinite(check.limit)) {
+      fail("limit '" + limit + "' is not a number");
+    }
+    gate.checks.push_back(check);
+  }
+  if (gate.checks.empty()) fail("empty check");
+  return gate;
+}
+
 ReportDiffResult diff_reports(const Json& baseline, const Json& current,
-                              const ReportDiffOptions& options) {
+                              const std::vector<Gate>& gates) {
   ReportDiffResult result;
 
   const Json* bs = baseline.find("schema_version");
@@ -254,238 +232,79 @@ ReportDiffResult diff_reports(const Json& baseline, const Json& current,
     result.violated = true;
   }
 
-  compare_maps(span_means(baseline), span_means(current), "span", result,
-               [&](const std::string& path, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "span";
-                 row.key = path;
-                 row.base = b;
-                 row.cur = c;
-                 row.gated = options.max_regress_pct >= 0.0 &&
-                             b >= options.min_span_s && b > 0.0;
-                 if (row.gated) {
-                   row.gate = "max-regress-pct";
-                   row.threshold = options.max_regress_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   row.violation = pct > options.max_regress_pct;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(counter_values(baseline), counter_values(current), "counter",
-               result, [&](const std::string& name, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "counter";
-                 row.key = name;
-                 row.base = b;
-                 row.cur = c;
-                 result.rows.push_back(std::move(row));
-               });
-
-  // Accuracy/calibration leaves share one gating rule set so "results" and
-  // "quality" sections behave identically.
-  const auto accuracy_row = [&](const std::string& kind,
-                                const std::string& key, double b, double c) {
-    ReportDiffRow row;
-    row.kind = kind;
-    row.key = key;
-    row.base = b;
-    row.cur = c;
-    const double cavg_delta = options.max_cavg_delta >= 0.0
-                                  ? options.max_cavg_delta
-                                  : options.max_eer_delta;
-    if (ends_with(key, "/eer") && options.max_eer_delta >= 0.0) {
-      row.gated = true;
-      row.gate = "max-eer-delta";
-      row.threshold = options.max_eer_delta;
-      row.violation = (c - b) > options.max_eer_delta;
-    } else if (ends_with(key, "/cavg") && cavg_delta >= 0.0) {
-      row.gated = true;
-      row.gate = "max-cavg-delta";
-      row.threshold = cavg_delta;
-      row.violation = (c - b) > cavg_delta;
-    } else if ((ends_with(key, "/cllr") || ends_with(key, "/min_cllr")) &&
-               options.max_cllr_delta >= 0.0) {
-      row.gated = true;
-      row.gate = "max-cllr-delta";
-      row.threshold = options.max_cllr_delta;
-      row.violation = (c - b) > options.max_cllr_delta;
-    } else if (ends_with(key, "/precision") &&
-               key.find("/adoption") != std::string::npos &&
-               options.max_adoption_precision_drop >= 0.0) {
-      row.gated = true;
-      row.gate = "max-adoption-precision-drop";
-      row.threshold = options.max_adoption_precision_drop;
-      row.violation = (b - c) > options.max_adoption_precision_drop;
-    }
-    result.rows.push_back(std::move(row));
-  };
-
-  compare_maps(result_leaves(baseline), result_leaves(current), "result",
-               result, [&](const std::string& key, double b, double c) {
-                 accuracy_row("result", key, b, c);
-               });
-
-  compare_maps(quality_leaves(baseline), quality_leaves(current), "quality",
-               result, [&](const std::string& key, double b, double c) {
-                 accuracy_row("quality", key, b, c);
-               });
-
-  compare_maps(resource_leaves(baseline), resource_leaves(current),
-               "resource", result,
-               [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "resource";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 result.rows.push_back(std::move(row));
-               });
-
   const char* base_source = energy_source(baseline);
   const char* cur_source = energy_source(current);
-  const bool sources_match =
-      base_source != nullptr && cur_source != nullptr &&
-      std::string(base_source) == cur_source;
+  const bool sources_match = base_source != nullptr && cur_source != nullptr &&
+                             std::string(base_source) == cur_source;
   if (base_source != nullptr && cur_source != nullptr && !sources_match) {
     result.notes.push_back(std::string("energy source differs (baseline ") +
                            base_source + ", current " + cur_source +
                            ") — joule leaves not gated");
   }
-  compare_maps(section_leaves(baseline, "energy"),
-               section_leaves(current, "energy"), "energy", result,
-               [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "energy";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 row.gated = options.max_energy_delta_pct >= 0.0 &&
-                             sources_match && is_gated_energy_leaf(key) &&
-                             b > 0.0;
-                 if (row.gated) {
-                   row.gate = "max-energy-delta-pct";
-                   row.threshold = options.max_energy_delta_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   row.violation = pct > options.max_energy_delta_pct;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
 
-  compare_maps(section_leaves(baseline, "hw"), section_leaves(current, "hw"),
-               "hw", result, [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "hw";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(profile_leaves(baseline), profile_leaves(current), "profile",
-               result, [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "profile";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 row.gated = options.max_self_share_delta >= 0.0 &&
-                             key.rfind("profile/functions/", 0) == 0 &&
-                             ends_with(key, "/self_share");
-                 if (row.gated) {
-                   row.gate = "max-self-share-delta";
-                   row.threshold = options.max_self_share_delta;
-                   row.violation = (c - b) > options.max_self_share_delta;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
-
-  compare_maps(section_leaves(baseline, "serve"),
-               section_leaves(current, "serve"), "serve", result,
-               [&](const std::string& key, double b, double c) {
-                 ReportDiffRow row;
-                 row.kind = "serve";
-                 row.key = key;
-                 row.base = b;
-                 row.cur = c;
-                 if (key == "serve/latency_ms/p99" &&
-                     options.max_serve_p99_regress_pct >= 0.0 && b > 0.0) {
-                   row.gated = true;
-                   row.gate = "max-serve-p99-regress";
-                   row.threshold = options.max_serve_p99_regress_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   row.violation = pct > options.max_serve_p99_regress_pct;
-                 } else if (key == "serve/throughput_rps" &&
-                            options.max_serve_throughput_drop_pct >= 0.0 &&
-                            b > 0.0) {
-                   row.gated = true;
-                   row.gate = "max-serve-throughput-drop";
-                   row.threshold = options.max_serve_throughput_drop_pct;
-                   const double drop_pct = 100.0 * (b - c) / b;
-                   row.violation =
-                       drop_pct > options.max_serve_throughput_drop_pct;
-                 } else if (key.rfind("serve/phases/", 0) == 0 &&
-                            (ends_with(key, "/p99") ||
-                             ends_with(key, "/p999")) &&
-                            options.max_phase_p99_regress_pct >= 0.0 &&
-                            b > 0.0) {
-                   row.gated = true;
-                   row.gate = "max-phase-p99-regress";
-                   row.threshold = options.max_phase_p99_regress_pct;
-                   const double pct = 100.0 * (c - b) / b;
-                   // Sub-millisecond absolute deltas are bucket-edge noise
-                   // on the fine phase buckets (e.g. 0.1 → 0.5 ms is
-                   // +400 %), not a regression worth failing CI over.
-                   row.violation = pct > options.max_phase_p99_regress_pct &&
-                                   (c - b) > kPhaseP99SlackMs;
-                 }
-                 result.rows.push_back(std::move(row));
-               });
+  const Leaves base_all = all_leaves(baseline);
+  const Leaves cur_all = all_leaves(current);
+  const Leaves base = compared_leaves(base_all);
+  const Leaves cur = compared_leaves(cur_all);
+  for (const auto& [key, b] : base) {
+    const auto it = cur.find(key);
+    if (it == cur.end()) {
+      result.notes.push_back("only in baseline: " + key);
+      continue;
+    }
+    ReportDiffRow row;
+    row.kind = key.substr(0, key.find('/'));
+    row.key = key;
+    row.base = b;
+    row.cur = it->second;
+    apply_gates(gates, sources_match, row);
+    result.violated = result.violated || row.violation;
+    result.rows.push_back(std::move(row));
+  }
+  for (const auto& [key, c] : cur) {
+    (void)c;
+    if (base.find(key) == base.end()) {
+      result.notes.push_back("only in current: " + key);
+    }
+  }
 
   note_unknown_sections(baseline, "baseline", result);
   note_unknown_sections(current, "current", result);
-  note_drops(baseline, "baseline", result);
-  note_drops(current, "current", result);
-
-  for (const ReportDiffRow& row : result.rows) {
-    if (row.violation) result.violated = true;
-  }
+  note_drops(base_all, "baseline", result);
+  note_drops(cur_all, "current", result);
   return result;
 }
 
 std::string ReportDiffResult::format() const {
   std::ostringstream out;
-  char line[256];
+  char line[128];
   std::snprintf(line, sizeof(line), "%-8s %-48s %14s %14s %12s\n", "kind",
                 "key", "baseline", "current", "delta");
   out << line;
   std::size_t hidden = 0;
   for (const ReportDiffRow& row : rows) {
-    // Unchanged counter/resource/hw rows are the bulk of a same-machine
-    // diff; elide them.
-    if ((row.kind == "counter" || row.kind == "resource" ||
-         row.kind == "hw" || row.kind == "profile" || row.kind == "serve") &&
-        row.base == row.cur && !row.violation) {
+    // Unchanged ungated rows are the bulk of a same-machine diff.
+    if (row.base == row.cur && !row.gated) {
       ++hidden;
       continue;
     }
     const double delta = row.cur - row.base;
     char delta_text[48];
-    if (row.kind == "span" && row.base > 0.0) {
+    if (row.kind == "spans" && row.base > 0.0) {
       std::snprintf(delta_text, sizeof(delta_text), "%+.1f%%",
                     100.0 * delta / row.base);
     } else {
       std::snprintf(delta_text, sizeof(delta_text), "%+.6g", delta);
     }
-    std::snprintf(line, sizeof(line), "%-8s %-48s %14.6g %14.6g %12s%s%s\n",
-                  row.kind.c_str(), row.key.c_str(), row.base, row.cur,
-                  delta_text, row.gated ? "  [gated]" : "",
-                  row.violation ? "  VIOLATION" : "");
-    out << line;
+    // Keys (demangled C++ names in profile rows) can be any length, so
+    // only the numbers go through the fixed buffer.
+    std::snprintf(line, sizeof(line), " %14.6g %14.6g %12s", row.base,
+                  row.cur, delta_text);
+    out << std::left << std::setw(8) << row.kind << ' ' << std::setw(48)
+        << row.key << line << (row.gated ? "  [gated]" : "")
+        << (row.violation ? "  VIOLATION" : "") << '\n';
   }
-  if (hidden > 0) {
-    out << "(" << hidden << " unchanged counter/resource rows elided)\n";
-  }
+  if (hidden > 0) out << "(" << hidden << " unchanged rows elided)\n";
   for (const std::string& note : notes) {
     out << "note: " << note << '\n';
   }
@@ -495,12 +314,10 @@ std::string ReportDiffResult::format() const {
   for (const ReportDiffRow& row : rows) {
     if (!row.violation) continue;
     ++violations;
-    std::snprintf(line, sizeof(line),
-                  "violation: %s %s: baseline %.6g, current %.6g, "
-                  "threshold %.6g\n",
-                  row.gate.c_str(), row.key.c_str(), row.base, row.cur,
-                  row.threshold);
-    out << line;
+    std::snprintf(line, sizeof(line), ": baseline %.6g, current %.6g",
+                  row.base, row.cur);
+    out << "violation: " << row.key << line << ", gate '" << row.gate
+        << "'\n";
   }
   if (violated) {
     out << "report-diff: FAIL (" << violations

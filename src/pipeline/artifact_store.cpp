@@ -35,23 +35,27 @@ CacheMetrics& cache_metrics() {
   return m;
 }
 
-/// Validates one entry stream against `key` and returns its payload.
-/// Throws SerializeError on any mismatch.
-std::string read_validated_payload(std::istream& in, const StageKey& key) {
+/// One entry's envelope: the key it claims and its checksum-verified
+/// payload.
+struct Envelope {
+  StageKey key;
+  std::string payload;
+};
+
+/// Reads one entry's envelope; throws SerializeError on a bad magic,
+/// version or checksum, or a truncated entry.
+Envelope read_envelope(std::istream& in) {
   util::BinaryReader reader(in);
   reader.expect_magic(kMagic, kPipelineFormatVersion);
-  const std::string stage = reader.read_string();
-  const std::uint64_t hash = reader.read_u64();
-  if (stage != key.stage || hash != key.hash) {
-    throw util::SerializeError("artifact key mismatch (expected " +
-                               key.filename() + ", file claims " + stage + ")");
-  }
-  std::string payload = reader.read_bytes();
+  Envelope envelope;
+  envelope.key.stage = reader.read_string();
+  envelope.key.hash = reader.read_u64();
+  envelope.payload = reader.read_bytes();
   const std::uint64_t checksum = reader.read_u64();
-  if (checksum != fnv1a(payload.data(), payload.size())) {
+  if (checksum != fnv1a(envelope.payload.data(), envelope.payload.size())) {
     throw util::SerializeError("artifact payload checksum mismatch");
   }
-  return payload;
+  return envelope;
 }
 
 }  // namespace
@@ -104,8 +108,13 @@ bool ArtifactStore::load(const StageKey& key,
     return false;
   }
   try {
-    std::string payload = read_validated_payload(in, key);
-    std::istringstream payload_in(std::move(payload));
+    Envelope envelope = read_envelope(in);
+    if (envelope.key != key) {
+      throw util::SerializeError("artifact key mismatch (expected " +
+                                 key.filename() + ", file claims " +
+                                 envelope.key.stage + ")");
+    }
+    std::istringstream payload_in(std::move(envelope.payload));
     read(payload_in);
   } catch (const util::SerializeError& e) {
     evict(key, e.what());
@@ -198,16 +207,8 @@ ArtifactStore::GcResult ArtifactStore::gc(std::uintmax_t max_bytes) {
       std::ifstream in(path, std::ios::binary);
       if (in) {
         try {
-          // Reconstruct the expected key from the entry's own claim; the
-          // payload checksum still catches corruption.
-          util::BinaryReader reader(in);
-          reader.expect_magic(kMagic, kPipelineFormatVersion);
-          StageKey claimed;
-          claimed.stage = reader.read_string();
-          claimed.hash = reader.read_u64();
-          const std::string payload = reader.read_bytes();
-          valid = reader.read_u64() == fnv1a(payload.data(), payload.size()) &&
-                  path.filename().string() == claimed.filename();
+          // The entry must be intact and live under the name its key gives.
+          valid = path.filename().string() == read_envelope(in).key.filename();
         } catch (const util::SerializeError&) {
           valid = false;
         }

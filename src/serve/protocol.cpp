@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -176,9 +177,18 @@ bool read_frame(int fd, std::string& body) {
     throw util::SerializeError("frame length " + std::to_string(length) +
                                " exceeds limit");
   }
-  body.assign(length, '\0');
-  if (length > 0 && !read_exact(fd, body.data(), length)) {
-    throw util::SerializeError("connection closed mid-frame");
+  // Grow the body as bytes arrive, never ahead of them: a peer that sends a
+  // 64 MiB prefix and then stalls pins one step, not the claimed length.
+  // Frames up to one step still take a single read.
+  constexpr std::size_t kReadStep = std::size_t{1} << 20;
+  body.clear();
+  while (body.size() < length) {
+    const std::size_t have = body.size();
+    const std::size_t step = std::min<std::size_t>(length - have, kReadStep);
+    body.resize(have + step);
+    if (!read_exact(fd, body.data() + have, step)) {
+      throw util::SerializeError("connection closed mid-frame");
+    }
   }
   return true;
 }

@@ -755,11 +755,15 @@ obs::Json mini_report(double build_s, double tiny_s, double eer,
   return obs::Json::parse(buf);
 }
 
-obs::ReportDiffOptions gated_options() {
-  obs::ReportDiffOptions opt;
-  opt.max_regress_pct = 20.0;
-  opt.max_eer_delta = 0.02;
-  return opt;
+std::vector<obs::Gate> gates(std::initializer_list<const char*> specs) {
+  std::vector<obs::Gate> out;
+  for (const char* spec : specs) out.push_back(obs::parse_gate(spec));
+  return out;
+}
+
+/// Span means may grow 20% (spans under 10 ms exempt); EER 2 points.
+std::vector<obs::Gate> gated_options() {
+  return gates({"spans/*/mean_s:rel<=0.2,base<=0.01", "*/eer:delta<=0.02"});
 }
 
 TEST(ReportDiff, IdenticalReportsPass) {
@@ -809,7 +813,7 @@ TEST(ReportDiff, CountersReportButNeverGate) {
   EXPECT_FALSE(result.violated);
   bool saw_counter = false;
   for (const auto& row : result.rows) {
-    if (row.kind == "counter") {
+    if (row.kind == "metrics") {
       saw_counter = true;
       EXPECT_FALSE(row.gated);
     }
@@ -818,10 +822,10 @@ TEST(ReportDiff, CountersReportButNeverGate) {
 }
 
 TEST(ReportDiff, ThresholdsDefaultOff) {
-  // Default options (negative thresholds) report deltas without gating.
+  // Without gates, report-diff reports deltas without gating.
   const obs::Json base = mini_report(10.0, 0.001, 0.15, 2376);
   const obs::Json worse = mini_report(30.0, 0.001, 0.40, 2376);
-  const auto result = obs::diff_reports(base, worse, obs::ReportDiffOptions{});
+  const auto result = obs::diff_reports(base, worse);
   EXPECT_FALSE(result.violated);
 }
 
@@ -844,7 +848,7 @@ TEST(ReportDiff, SchemaMismatchViolates) {
   const obs::Json base = mini_report(10.0, 0.001, 0.15, 2376);
   obs::Json cur = mini_report(10.0, 0.001, 0.15, 2376);
   cur["schema_version"] = obs::Json(2);
-  EXPECT_TRUE(obs::diff_reports(base, cur, obs::ReportDiffOptions{}).violated);
+  EXPECT_TRUE(obs::diff_reports(base, cur).violated);
 }
 
 /// Minimal report with a "quality" section (scalars + adoption + an
@@ -868,31 +872,33 @@ obs::Json quality_report(double cavg, double cllr, double precision,
 TEST(ReportDiff, CavgDeltaGatesWithDedicatedThreshold) {
   const obs::Json base = quality_report(0.20, 1.0, 0.9, 1000);
   const obs::Json worse = quality_report(0.24, 1.0, 0.9, 1000);
-  obs::ReportDiffOptions opt;
-  opt.max_cavg_delta = 0.03;
-  EXPECT_TRUE(obs::diff_reports(base, worse, opt).violated);
-  opt.max_cavg_delta = 0.05;
-  EXPECT_FALSE(obs::diff_reports(base, worse, opt).violated);
+  EXPECT_TRUE(
+      obs::diff_reports(base, worse, gates({"*/cavg:delta<=0.03"})).violated);
+  EXPECT_FALSE(
+      obs::diff_reports(base, worse, gates({"*/cavg:delta<=0.05"})).violated);
 }
 
-TEST(ReportDiff, CavgFallsBackToEerDelta) {
-  // With max_cavg_delta unset, cavg leaves gate on max_eer_delta
-  // (the pre-cavg-flag behaviour).
+TEST(ReportDiff, UngatedCavgLeafIsNotGated) {
+  // An EER gate gates EER leaves only: a cavg leaf no gate names is
+  // reported, never gated, however far it moves.
   const obs::Json base = quality_report(0.20, 1.0, 0.9, 1000);
   const obs::Json worse = quality_report(0.24, 1.0, 0.9, 1000);
-  obs::ReportDiffOptions opt;
-  opt.max_eer_delta = 0.02;
-  EXPECT_TRUE(obs::diff_reports(base, worse, opt).violated);
-  // A dedicated cavg budget overrides the fallback.
-  opt.max_cavg_delta = 0.1;
-  EXPECT_FALSE(obs::diff_reports(base, worse, opt).violated);
+  const auto result =
+      obs::diff_reports(base, worse, gates({"*/eer:delta<=0.02"}));
+  EXPECT_FALSE(result.violated);
+  bool saw_cavg = false;
+  for (const auto& row : result.rows) {
+    if (row.key != "quality/cavg") continue;
+    saw_cavg = true;
+    EXPECT_FALSE(row.gated);
+  }
+  EXPECT_TRUE(saw_cavg);
 }
 
 TEST(ReportDiff, CllrDeltaGatesQualityLeaves) {
   const obs::Json base = quality_report(0.20, 1.0, 0.9, 1000);
   const obs::Json worse = quality_report(0.20, 1.6, 0.9, 1000);
-  obs::ReportDiffOptions opt;
-  opt.max_cllr_delta = 0.5;
+  const auto opt = gates({"*cllr:delta<=0.5"});
   EXPECT_TRUE(obs::diff_reports(base, worse, opt).violated);
   const obs::Json better = quality_report(0.20, 0.2, 0.9, 1000);
   EXPECT_FALSE(obs::diff_reports(base, better, opt).violated);
@@ -900,8 +906,7 @@ TEST(ReportDiff, CllrDeltaGatesQualityLeaves) {
 
 TEST(ReportDiff, AdoptionPrecisionGatesOnDrop) {
   const obs::Json base = quality_report(0.20, 1.0, 0.90, 1000);
-  obs::ReportDiffOptions opt;
-  opt.max_adoption_precision_drop = 0.05;
+  const auto opt = gates({"*/adoption*/precision:delta>=-0.05"});
   // Precision is better-high: a drop beyond the budget violates ...
   const obs::Json dropped = quality_report(0.20, 1.0, 0.80, 1000);
   EXPECT_TRUE(obs::diff_reports(base, dropped, opt).violated);
@@ -915,9 +920,8 @@ TEST(ReportDiff, AdoptionPrecisionGatesOnDrop) {
 TEST(ReportDiff, ResourceRowsReportButNeverGate) {
   const obs::Json base = quality_report(0.20, 1.0, 0.9, 1000);
   const obs::Json cur = quality_report(0.20, 1.0, 0.9, 999999);
-  obs::ReportDiffOptions opt;
-  opt.max_cllr_delta = 0.0;
-  opt.max_adoption_precision_drop = 0.0;
+  const auto opt =
+      gates({"*cllr:delta<=0", "*/adoption*/precision:delta>=0"});
   const auto result = obs::diff_reports(base, cur, opt);
   EXPECT_FALSE(result.violated);
   bool saw_resource = false;
@@ -932,7 +936,7 @@ TEST(ReportDiff, ResourceRowsReportButNeverGate) {
 
 TEST(ReportDiff, QualityDetSubtreeIsNotDiffed) {
   const obs::Json base = quality_report(0.20, 1.0, 0.9, 1000);
-  const auto result = obs::diff_reports(base, base, obs::ReportDiffOptions{});
+  const auto result = obs::diff_reports(base, base);
   for (const auto& row : result.rows) {
     EXPECT_EQ(row.key.find("quality/det"), std::string::npos) << row.key;
   }
@@ -943,10 +947,12 @@ TEST(ReportDiff, MissingQualitySectionIsNoteNotViolation) {
   // cleanly against a new one — even with every quality gate enabled.
   const obs::Json old_report = mini_report(10.0, 0.001, 0.15, 2376);
   const obs::Json new_report = quality_report(0.20, 1.0, 0.9, 1000);
-  obs::ReportDiffOptions opt = gated_options();
-  opt.max_cavg_delta = 0.02;
-  opt.max_cllr_delta = 0.1;
-  opt.max_adoption_precision_drop = 0.02;
+  auto opt = gated_options();
+  for (const obs::Gate& g :
+       gates({"*/cavg:delta<=0.02", "*cllr:delta<=0.1",
+              "*/adoption*/precision:delta>=-0.02"})) {
+    opt.push_back(g);
+  }
   const auto ab = obs::diff_reports(old_report, new_report, opt);
   EXPECT_FALSE(ab.violated);
   bool saw = false;
@@ -964,9 +970,10 @@ TEST(ReportDiff, UnknownTopLevelSectionIsNoteNotViolation) {
   obs::Json cur = mini_report(10.0, 0.001, 0.15, 2376);
   cur["quantum_decoder"] =
       obs::Json::parse("{\"qubits\": 12, \"fidelity\": 0.99}");
-  obs::ReportDiffOptions opt = gated_options();
-  opt.max_cllr_delta = 0.0;
-  opt.max_energy_delta_pct = 0.0;
+  auto opt = gated_options();
+  for (const obs::Gate& g : gates({"*cllr:delta<=0", "energy/*:rel<=0"})) {
+    opt.push_back(g);
+  }
   const auto result = obs::diff_reports(base, cur, opt);
   EXPECT_FALSE(result.violated);
   bool saw = false;
@@ -998,12 +1005,12 @@ obs::Json serve_report(double p99_ms, double throughput_rps) {
 
 TEST(ReportDiff, ServeP99GatesOnRelativeGrowth) {
   const obs::Json base = serve_report(100.0, 50.0);
-  obs::ReportDiffOptions opt;
-  opt.max_serve_p99_regress_pct = 200.0;
+  const auto opt = gates({"serve/latency_ms/p99:rel<=2"});
   // 4x the baseline p99 (+300%) breaches a 200% budget ...
   const auto worse = obs::diff_reports(base, serve_report(400.0, 50.0), opt);
   EXPECT_TRUE(worse.violated);
-  EXPECT_NE(worse.format().find("max-serve-p99-regress"), std::string::npos);
+  EXPECT_NE(worse.format().find("gate 'serve/latency_ms/p99:rel<=2'"),
+            std::string::npos);
   // ... +100% stays inside it, and a faster daemon never violates.
   EXPECT_FALSE(obs::diff_reports(base, serve_report(200.0, 50.0), opt).violated);
   EXPECT_FALSE(obs::diff_reports(base, serve_report(10.0, 50.0), opt).violated);
@@ -1011,8 +1018,7 @@ TEST(ReportDiff, ServeP99GatesOnRelativeGrowth) {
 
 TEST(ReportDiff, ServeThroughputGatesOnDrop) {
   const obs::Json base = serve_report(100.0, 50.0);
-  obs::ReportDiffOptions opt;
-  opt.max_serve_throughput_drop_pct = 50.0;
+  const auto opt = gates({"serve/throughput_rps:rel>=-0.5"});
   // Losing 80% of baseline throughput breaches a 50% budget ...
   EXPECT_TRUE(obs::diff_reports(base, serve_report(100.0, 10.0), opt).violated);
   // ... a 20% dip or any gain does not.
@@ -1041,15 +1047,14 @@ obs::Json serve_phase_report(double queue_wait_p99_ms, double compute_p99_ms) {
 
 TEST(ReportDiff, PhaseP99GatesEachPhaseSeparately) {
   const obs::Json base = serve_phase_report(20.0, 50.0);
-  obs::ReportDiffOptions opt;
-  opt.max_phase_p99_regress_pct = 200.0;
+  const auto opt = gates({"serve/phases/*/p99*:rel<=2,delta<=1"});
   // A queue-wait blowup breaches the budget even though compute is flat —
   // the per-phase gate is exactly what separates an admission/batching
   // regression from a kernel slowdown.
   const auto queue_worse =
       obs::diff_reports(base, serve_phase_report(100.0, 50.0), opt);
   EXPECT_TRUE(queue_worse.violated);
-  EXPECT_NE(queue_worse.format().find("max-phase-p99-regress"),
+  EXPECT_NE(queue_worse.format().find("serve/phases/*/p99*:rel<=2,delta<=1"),
             std::string::npos);
   EXPECT_NE(queue_worse.format().find("queue_wait_ms"), std::string::npos);
   // A compute blowup with flat queue wait also gates.
@@ -1066,8 +1071,7 @@ TEST(ReportDiff, PhaseP99SubMillisecondDeltasNeverViolate) {
   // 0.1 -> 0.5 ms is +400% but only one histogram bucket of wobble; the
   // absolute 1 ms slack keeps CI from flaking on fast phases.
   const obs::Json base = serve_phase_report(0.1, 50.0);
-  obs::ReportDiffOptions opt;
-  opt.max_phase_p99_regress_pct = 200.0;
+  const auto opt = gates({"serve/phases/*/p99*:rel<=2,delta<=1"});
   EXPECT_FALSE(
       obs::diff_reports(base, serve_phase_report(0.5, 50.0), opt).violated);
   // Past the slack AND past the relative budget, it does violate.
@@ -1077,15 +1081,14 @@ TEST(ReportDiff, PhaseP99SubMillisecondDeltasNeverViolate) {
 
 TEST(ReportDiff, PhaseP99GateOffByDefault) {
   const obs::Json base = serve_phase_report(20.0, 50.0);
-  EXPECT_FALSE(obs::diff_reports(base, serve_phase_report(2000.0, 5000.0), {})
-                   .violated);
+  EXPECT_FALSE(
+      obs::diff_reports(base, serve_phase_report(2000.0, 5000.0)).violated);
 }
 
 TEST(ReportDiff, ServeRowsOtherThanGatedLeavesNeverGate) {
   const obs::Json base = serve_report(100.0, 50.0);
-  obs::ReportDiffOptions opt;
-  opt.max_serve_p99_regress_pct = 0.0;
-  opt.max_serve_throughput_drop_pct = 0.0;
+  const auto opt = gates(
+      {"serve/latency_ms/p99:rel<=0", "serve/throughput_rps:rel>=0"});
   const auto result = obs::diff_reports(base, base, opt);
   EXPECT_FALSE(result.violated);
   bool saw_ungated = false;
@@ -1100,6 +1103,70 @@ TEST(ReportDiff, ServeRowsOtherThanGatedLeavesNeverGate) {
     }
   }
   EXPECT_TRUE(saw_ungated);
+}
+
+TEST(GateSpec, ParsesPatternAndChecks) {
+  const obs::Gate g = obs::parse_gate("serve/phases/*/p99*:rel<=4,delta<=1");
+  EXPECT_EQ(g.pattern, "serve/phases/*/p99*");
+  ASSERT_EQ(g.checks.size(), 2u);
+  EXPECT_EQ(g.checks[0].measure, obs::GateCheck::Measure::kRel);
+  EXPECT_TRUE(g.checks[0].at_most);
+  EXPECT_DOUBLE_EQ(g.checks[0].limit, 4.0);
+  EXPECT_EQ(g.checks[1].measure, obs::GateCheck::Measure::kDelta);
+  const obs::Gate drop = obs::parse_gate("serve/throughput_rps:rel>=-0.9");
+  EXPECT_FALSE(drop.checks[0].at_most);
+  EXPECT_DOUBLE_EQ(drop.checks[0].limit, -0.9);
+  // The pattern ends at the last ':', so C++ names in profile keys work.
+  EXPECT_EQ(obs::parse_gate("profile/functions/a::b/self_share:base>=0.1")
+                .pattern,
+            "profile/functions/a::b/self_share");
+}
+
+TEST(GateSpec, RejectsMalformedSpecs) {
+  for (const char* spec :
+       {"*/eer", "*/eer<=0.02",                      // no colon
+        ":delta<=0.02",                              // empty pattern
+        "*/eer:", "*/eer:delta<=0.02,",              // empty check
+        "*/eer:size<=1", "*/eer:Delta<=1", "*/eer:<=1",  // unknown measure
+        "*/eer:delta<1", "*/eer:delta=<1", "*/eer:delta==1",  // bad operator
+        "*/eer:delta<=", "*/eer:delta<=abc", "*/eer:delta<= 1",
+        "*/eer:delta<=nan",                          // non-numeric limit
+        "*/eer:delta<=1x", "*/eer:delta<=0.02,rel<=1%"}) {  // trailing junk
+    try {
+      (void)obs::parse_gate(spec);
+      ADD_FAILURE() << "accepted malformed gate " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << "error must name the spec: " << e.what();
+    }
+  }
+}
+
+TEST(ReportDiff, EveryMatchingGateMustPass) {
+  // +0.03 passes the loose gate but fails the tight one.
+  const obs::Json base = mini_report(10.0, 0.001, 0.15, 2376);
+  const obs::Json worse = mini_report(10.0, 0.001, 0.18, 2376);
+  const auto result = obs::diff_reports(
+      base, worse, gates({"*/eer:delta<=0.1", "results/dba/*:delta<=0.02"}));
+  EXPECT_TRUE(result.violated);
+  for (const auto& row : result.rows) {
+    if (row.key == "results/dba/30s/eer") {
+      EXPECT_EQ(row.gate, "results/dba/*:delta<=0.02");
+    }
+  }
+}
+
+TEST(ReportDiff, RelGateSkipsNonPositiveBaseline) {
+  // (cur - base) / base has no meaning at base 0: the gate does not apply,
+  // whatever its other checks say.
+  const obs::Json base = mini_report(10.0, 0.001, 0.0, 2376);
+  const obs::Json worse = mini_report(10.0, 0.001, 0.5, 2376);
+  const auto result =
+      obs::diff_reports(base, worse, gates({"*/eer:rel<=0.1,delta<=0.01"}));
+  EXPECT_FALSE(result.violated);
+  for (const auto& row : result.rows) EXPECT_FALSE(row.gated) << row.key;
+  EXPECT_TRUE(
+      obs::diff_reports(base, worse, gates({"*/eer:delta<=0.01"})).violated);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "la/kernels.h"
 #include "obs/energy.h"
@@ -210,8 +211,8 @@ obs::Json energy_report(double joules, const std::string& source) {
 }
 
 TEST(ReportDiffEnergy, WithinThresholdPasses) {
-  obs::ReportDiffOptions options;
-  options.max_energy_delta_pct = 1.0;
+  const std::vector<obs::Gate> options = {
+      obs::parse_gate("energy/total_joules:rel<=0.01")};
   const auto result = obs::diff_reports(energy_report(10.0, "software"),
                                         energy_report(10.05, "software"),
                                         options);
@@ -219,8 +220,8 @@ TEST(ReportDiffEnergy, WithinThresholdPasses) {
 }
 
 TEST(ReportDiffEnergy, RegressionBeyondThresholdFails) {
-  obs::ReportDiffOptions options;
-  options.max_energy_delta_pct = 1.0;
+  const std::vector<obs::Gate> options = {
+      obs::parse_gate("energy/total_joules:rel<=0.01")};
   const auto result = obs::diff_reports(energy_report(10.0, "software"),
                                         energy_report(10.5, "software"),
                                         options);
@@ -229,21 +230,22 @@ TEST(ReportDiffEnergy, RegressionBeyondThresholdFails) {
   for (const obs::ReportDiffRow& row : result.rows) {
     if (row.violation) {
       found = true;
-      EXPECT_EQ(row.gate, "max-energy-delta-pct");
+      EXPECT_EQ(row.gate, "energy/total_joules:rel<=0.01");
       EXPECT_EQ(row.key, "energy/total_joules");
-      EXPECT_DOUBLE_EQ(row.threshold, 1.0);
     }
   }
   EXPECT_TRUE(found);
   // The formatted output carries the one-line violation summary.
   const std::string text = result.format();
-  EXPECT_NE(text.find("violation: max-energy-delta-pct"), std::string::npos);
+  EXPECT_NE(text.find("violation: energy/total_joules"), std::string::npos);
+  EXPECT_NE(text.find("gate 'energy/total_joules:rel<=0.01'"),
+            std::string::npos);
   EXPECT_NE(text.find("FAIL (1 violation)"), std::string::npos);
 }
 
 TEST(ReportDiffEnergy, ImprovementNeverViolates) {
-  obs::ReportDiffOptions options;
-  options.max_energy_delta_pct = 1.0;
+  const std::vector<obs::Gate> options = {
+      obs::parse_gate("energy/total_joules:rel<=0.01")};
   const auto result = obs::diff_reports(energy_report(10.0, "software"),
                                         energy_report(5.0, "software"),
                                         options);
@@ -255,8 +257,8 @@ TEST(ReportDiffEnergy, MissingSectionInBaselineIsNoteOnly) {
   // side is a note, never a violation, even with the gate enabled.
   obs::Json old_report = obs::Json::object();
   old_report["schema_version"] = obs::Json(obs::kReportSchemaVersion);
-  obs::ReportDiffOptions options;
-  options.max_energy_delta_pct = 1.0;
+  const std::vector<obs::Gate> options = {
+      obs::parse_gate("energy/total_joules:rel<=0.01")};
   const auto result = obs::diff_reports(
       old_report, energy_report(10.0, "software"), options);
   EXPECT_FALSE(result.violated);
@@ -268,8 +270,8 @@ TEST(ReportDiffEnergy, MissingSectionInBaselineIsNoteOnly) {
 }
 
 TEST(ReportDiffEnergy, SourceMismatchDisablesGateWithNote) {
-  obs::ReportDiffOptions options;
-  options.max_energy_delta_pct = 1.0;
+  const std::vector<obs::Gate> options = {
+      obs::parse_gate("energy/total_joules:rel<=0.01")};
   const auto result = obs::diff_reports(energy_report(10.0, "rapl"),
                                         energy_report(100.0, "software"),
                                         options);

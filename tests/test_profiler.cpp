@@ -227,8 +227,8 @@ obs::Json profile_report(double self_share, std::uint64_t dropped = 0) {
 }
 
 TEST(ProfilerReportDiff, SelfShareWithinBudgetPasses) {
-  obs::ReportDiffOptions opt;
-  opt.max_self_share_delta = 0.05;
+  const std::vector<obs::Gate> opt = {
+      obs::parse_gate("profile/functions/*/self_share:delta<=0.05")};
   const auto result =
       obs::diff_reports(profile_report(0.50), profile_report(0.52), opt);
   EXPECT_FALSE(result.violated);
@@ -236,7 +236,7 @@ TEST(ProfilerReportDiff, SelfShareWithinBudgetPasses) {
   for (const auto& row : result.rows) {
     if (row.key == "profile/functions/fft/self_share") {
       EXPECT_TRUE(row.gated);
-      EXPECT_EQ(row.gate, "max-self-share-delta");
+      EXPECT_EQ(row.gate, "profile/functions/*/self_share:delta<=0.05");
       EXPECT_FALSE(row.violation);
       saw_gated_row = true;
     }
@@ -245,15 +245,15 @@ TEST(ProfilerReportDiff, SelfShareWithinBudgetPasses) {
 }
 
 TEST(ProfilerReportDiff, SelfShareRegressionFires) {
-  obs::ReportDiffOptions opt;
-  opt.max_self_share_delta = 0.05;
+  const std::vector<obs::Gate> opt = {
+      obs::parse_gate("profile/functions/*/self_share:delta<=0.05")};
   const auto result =
       obs::diff_reports(profile_report(0.50), profile_report(0.60), opt);
   EXPECT_TRUE(result.violated);
   bool saw_violation = false;
   for (const auto& row : result.rows) {
     if (row.key == "profile/functions/fft/self_share" && row.violation) {
-      EXPECT_EQ(row.gate, "max-self-share-delta");
+      EXPECT_EQ(row.gate, "profile/functions/*/self_share:delta<=0.05");
       saw_violation = true;
     }
   }
@@ -269,8 +269,8 @@ TEST(ProfilerReportDiff, MissingProfileSectionStaysANote) {
   // gate, with the absent section surfaced as a note only.
   const obs::Json old_baseline =
       obs::Json::parse("{\"schema_version\": 1}");
-  obs::ReportDiffOptions opt;
-  opt.max_self_share_delta = 0.05;
+  const std::vector<obs::Gate> opt = {
+      obs::parse_gate("profile/functions/*/self_share:delta<=0.05")};
   const auto result =
       obs::diff_reports(old_baseline, profile_report(0.50), opt);
   EXPECT_FALSE(result.violated);

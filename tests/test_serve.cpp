@@ -7,11 +7,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -552,6 +554,49 @@ TEST_F(ServeTest, HugeSampleCountFrameGetsBadRequestAndKeepsServing) {
   expect_bad_request_then_close(probe.fd());
   expect_server_alive(ts);
 }
+
+#ifdef __linux__
+/// Current resident set of this process (VmRSS), in bytes.
+std::size_t current_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoull(line.substr(6))) * 1024;
+    }
+  }
+  return 0;
+}
+
+TEST_F(ServeTest, StalledFramesDoNotPinTheirClaimedLength) {
+  // Four peers each promise a 64 MB frame, send one byte, and stall.  The
+  // readers may only hold what actually arrived, so the daemon's resident
+  // set must not grow by anything near the 256 MB claimed.
+  TestServer ts(*model_);
+  expect_server_alive(ts);
+  const std::size_t before = current_rss_bytes();
+  ASSERT_GT(before, 0u);
+  std::vector<Client> stalled;
+  for (int i = 0; i < 4; ++i) {
+    stalled.push_back(connect_to(ts));
+    const std::uint32_t claimed = 64'000'000;
+    ASSERT_TRUE(write_all(stalled.back().fd(), &claimed, sizeof claimed));
+    const char one = 'x';
+    ASSERT_TRUE(write_all(stalled.back().fd(), &one, 1));
+  }
+  expect_server_alive(ts);
+  // The readers pick the prefixes up asynchronously; watch for a while.
+  std::size_t peak = current_rss_bytes();
+  for (int i = 0; i < 30; ++i) {
+    std::this_thread::sleep_for(10ms);
+    peak = std::max(peak, current_rss_bytes());
+  }
+  EXPECT_LT(peak, before + (std::size_t{64} << 20))
+      << "before " << before << " B, peak " << peak << " B";
+  for (Client& c : stalled) c.close();
+  expect_server_alive(ts);
+}
+#endif  // __linux__
 
 // --- request-scoped tracing (PLSV v2) -------------------------------------
 

@@ -41,6 +41,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,15 +108,16 @@ void usage() {
       "               folded stacks for flamegraph.pl / speedscope\n"
       "  report-diff  compare two structured run reports:\n"
       "               report-diff baseline.json current.json\n"
-      "                 [--max-regress pct] [--max-eer-delta x]\n"
-      "                 [--max-cavg-delta x] [--max-cllr-delta x]\n"
-      "                 [--max-adoption-precision-drop x]\n"
-      "                 [--max-energy-delta-pct pct] [--min-span-s s]\n"
-      "                 [--max-self-share-delta x]\n"
-      "                 [--max-serve-p99-regress pct]\n"
-      "                 [--max-serve-throughput-drop pct]\n"
-      "                 [--max-phase-p99-regress pct]\n"
-      "               exits 1 when a threshold is violated\n"
+      "                 [--gate PATTERN:CHECK[,CHECK...]]...\n"
+      "               PATTERN globs leaf keys ('*' crosses '/'), e.g.\n"
+      "               results/dba/30s/eer, serve/phases/compute_ms/p99;\n"
+      "               CHECK is delta|rel|base, <= or >=, a number\n"
+      "               (delta = cur-base, rel = (cur-base)/base); a leaf\n"
+      "               passes a gate when any check holds, e.g.\n"
+      "                 --gate '*/eer:delta<=0.02'\n"
+      "                 --gate 'serve/throughput_rps:rel>=-0.9'\n"
+      "                 --gate 'serve/phases/*/p99*:rel<=4,delta<=1'\n"
+      "               exits 1 when a gate is violated, 2 on a bad spec\n"
       "  freeze       train and freeze a self-contained model bundle:\n"
       "               freeze --out bundle/ [--v N] [--mode m1|m2|both]\n"
       "               (front ends, VSM heads, fusion — servable without the\n"
@@ -159,6 +161,7 @@ void usage() {
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
+  std::vector<std::string> gates;  // every --gate, in order (report-diff)
   std::vector<std::string> positionals;
 
   [[nodiscard]] std::string get(const std::string& key,
@@ -183,7 +186,7 @@ struct Args {
     }
     return value;
   }
-  /// Same strictness for floating-point flags (report-diff thresholds).
+  /// Same strictness for floating-point flags.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = flags.find(key);
@@ -220,11 +223,7 @@ const std::map<std::string, std::set<std::string>>& command_flags() {
       {"diag", {"ledger", "report"}},
       {"power", {"scale", "seed", "report", "cache-dir", "input"}},
       {"flame", {"scale", "seed", "report", "cache-dir", "input"}},
-      {"report-diff",
-       {"max-regress", "max-eer-delta", "max-cavg-delta", "max-cllr-delta",
-        "max-adoption-precision-drop", "max-energy-delta-pct", "min-span-s",
-        "max-self-share-delta", "max-serve-p99-regress",
-        "max-serve-throughput-drop", "max-phase-p99-regress"}},
+      {"report-diff", {"gate"}},
       {"pipeline", {"cache-dir", "max-bytes"}},
       {"freeze", {"scale", "seed", "out", "v", "mode", "cache-dir", "report"}},
       {"serve",
@@ -262,7 +261,14 @@ Args parse_args(int argc, char** argv) {
         usage();
         std::exit(2);
       }
-      args.flags[key] = argv[++i];
+      const std::string value = argv[++i];
+      if (key == "gate") {
+        args.gates.push_back(value);
+      } else if (!args.flags.emplace(key, value).second) {
+        // Last-one-wins would silently drop a value the caller meant.
+        std::fprintf(stderr, "error: flag --%s given twice\n", key.c_str());
+        std::exit(2);
+      }
     } else {
       args.positionals.push_back(token);
     }
@@ -1414,26 +1420,19 @@ int cmd_report_diff(const Args& args) {
     usage();
     return 2;
   }
-  obs::ReportDiffOptions options;
-  options.max_regress_pct = args.get_double("max-regress", -1.0);
-  options.max_eer_delta = args.get_double("max-eer-delta", -1.0);
-  options.max_cavg_delta = args.get_double("max-cavg-delta", -1.0);
-  options.max_cllr_delta = args.get_double("max-cllr-delta", -1.0);
-  options.max_adoption_precision_drop =
-      args.get_double("max-adoption-precision-drop", -1.0);
-  options.max_energy_delta_pct = args.get_double("max-energy-delta-pct", -1.0);
-  options.max_self_share_delta = args.get_double("max-self-share-delta", -1.0);
-  options.max_serve_p99_regress_pct =
-      args.get_double("max-serve-p99-regress", -1.0);
-  options.max_serve_throughput_drop_pct =
-      args.get_double("max-serve-throughput-drop", -1.0);
-  options.max_phase_p99_regress_pct =
-      args.get_double("max-phase-p99-regress", -1.0);
-  options.min_span_s = args.get_double("min-span-s", options.min_span_s);
+  std::vector<obs::Gate> gates;
+  for (const std::string& spec : args.gates) {
+    try {
+      gates.push_back(obs::parse_gate(spec));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+  }
   const obs::Json baseline = load_json_file(args.positionals[0]);
   const obs::Json current = load_json_file(args.positionals[1]);
   const obs::ReportDiffResult result =
-      obs::diff_reports(baseline, current, options);
+      obs::diff_reports(baseline, current, gates);
   std::fputs(result.format().c_str(), stdout);
   return result.violated ? 1 : 0;
 }
@@ -1466,11 +1465,16 @@ int dispatch(const Args& args) {
 int run_profile_wrapper(int argc, char** argv) {
   long hz = 0;
   std::string out_path;
+  std::set<std::string> seen;
   int i = 2;
   for (; i < argc && std::strncmp(argv[i], "--", 2) == 0; ++i) {
     const std::string key = argv[i];
     if (i + 1 >= argc) {
       std::fprintf(stderr, "error: flag %s expects a value\n", key.c_str());
+      return 2;
+    }
+    if (!seen.insert(key).second) {
+      std::fprintf(stderr, "error: flag %s given twice\n", key.c_str());
       return 2;
     }
     if (key == "--hz") {
