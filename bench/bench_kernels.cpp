@@ -1,12 +1,14 @@
-// Microbenchmarks for the src/la kernel library at acoustic-model
-// representative shapes: MLP forward/backward GEMMs (batch x features
-// against hidden/state layers) and the batched diagonal-Gaussian scorer
-// that dominates GMM-HMM decoding.
+// Microbenchmarks for the hot kernels at acoustic-model representative
+// shapes: the per-frame FFT power spectrum every front end starts from, MLP
+// forward/backward GEMMs (batch x features against hidden/state layers) and
+// the batched diagonal-Gaussian scorer that dominates GMM-HMM decoding.
 #include <benchmark/benchmark.h>
 
+#include <complex>
 #include <cstddef>
 #include <vector>
 
+#include "dsp/fft.h"
 #include "la/batched_gaussian.h"
 #include "la/kernels.h"
 #include "util/matrix.h"
@@ -26,6 +28,22 @@ util::Matrix random_matrix(std::size_t rows, std::size_t cols,
     }
   }
   return m;
+}
+
+// Power spectrum of one real frame: n = 256 is the front ends' n_fft
+// (MfccConfig's default), 512 the next size up.  Reported per transform.
+void BM_FftPowerSpectrum(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const dsp::Fft fft(n);
+  util::Rng rng(8);
+  std::vector<float> frame(n), power(n / 2 + 1);
+  for (auto& v : frame) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<std::complex<float>> scratch;
+  for (auto _ : state) {
+    fft.power_spectrum(frame, power, scratch);
+    benchmark::DoNotOptimize(power.data());
+    benchmark::ClobberMemory();
+  }
 }
 
 // MLP forward: batch x in against a (out x in) weight matrix, fused
@@ -115,6 +133,7 @@ void BM_BatchedLogGaussian(benchmark::State& state) {
 
 }  // namespace
 
+BENCHMARK(BM_FftPowerSpectrum)->Arg(256)->Arg(512);
 // NN-HMM forward at quick scale (65-dim stacked input, 64 hidden, 60
 // states) and default scale (195 input, 256 hidden, 120 states).
 BENCHMARK(BM_GemmNtBiasSigmoid)

@@ -53,7 +53,9 @@ cmake --build build -j --target bench_kernels
 # never gated here (they are machine-dependent); BENCH_*.json track the
 # reference trajectory.
 TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
+# A failed gate exits early: stop the serve daemon (started below) too.
+trap 'if [ -n "${SERVE_PID:-}" ]; then kill "$SERVE_PID" 2> /dev/null || true; fi
+rm -rf "$TMP"' EXIT
 # report-diff gates (`--gate PATTERN:CHECK[,CHECK...]`, see
 # src/obs/report_diff.h).  EXACT: accuracy leaves must not move at all.
 # QUALITY: accuracy and calibration within budget of the committed baseline:
@@ -187,15 +189,21 @@ expect_exit2 ./build/tools/phonolid explain 999999999 --scale quick \
 # run's decision ledger (`cmp` of two %.17g dumps — batching and transport
 # must never change an answer), micro-batching must actually engage
 # (batch-size p50 >= 2 with 8 concurrent connections), and the serve report
-# diffs against the committed baseline with deliberately generous gates:
-# bucketed p99 on a loaded daemon is noisy, so only order-of-magnitude
-# regressions should trip CI.  The admin HTTP plane is exercised live:
-# /healthz must answer ok before and during load, /metrics must scrape
+# diffs against the committed baseline.  Seventeen repeated runs of this
+# block moved throughput by -43%..+17% and p99 by up to +82% against the
+# baseline (one run on a momentarily slow host: -43%, +65%), so the gates
+# allow a 75% throughput drop and +300% on p99: wide for that noise, tight
+# enough to catch the ~40 ms per-frame transport stall (-88%, +611%).  The
+# admin HTTP plane is exercised live: /healthz must answer ok before and during load, /metrics must scrape
 # during load, and after the load the scrape's serve_requests_total must
 # equal the requests_total the daemon reports in its own stats document
 # (/statusz) — the pull-based plane and the kStats frame are two views of
 # the same ledger.  Per-phase p99/p99.9 gate separately from end-to-end
 # latency so a queue-wait regression cannot hide behind fast compute.
+# queue_wait's p99 is ~0 while the 8 clients arrive as one batch wave and
+# one whole batch compute whenever a request misses the wave (0.2-5 ms in
+# 16 runs, 50 ms in the slow one), so its slack floor is 100 ms, the slow
+# run's compute p99; the other phases keep the 1 ms floor.
 # SIGTERM must drain gracefully (exit 0).
 ./build/tools/phonolid freeze --scale quick --out "$TMP/bundle" \
   --cache-dir "$CACHE_DIR"
@@ -242,8 +250,9 @@ if [ "${SCRAPE_TOTAL%.*}" != "$STATS_TOTAL" ]; then
   exit 1
 fi
 ./build/tools/phonolid report-diff BENCH_serve.json "$TMP/serve.report.json" \
-  --gate 'serve/latency_ms/p99:rel<=4' --gate 'serve/throughput_rps:rel>=-0.9' \
-  --gate 'serve/phases/*/p99*:rel<=4,delta<=1'
+  --gate 'serve/latency_ms/p99:rel<=3' --gate 'serve/throughput_rps:rel>=-0.75' \
+  --gate 'serve/phases/[bcw]*/p99*:rel<=4,delta<=1' \
+  --gate 'serve/phases/queue_wait_ms/p99*:rel<=4,delta<=100'
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 grep -q "drained and stopped" "$TMP/serve.log"

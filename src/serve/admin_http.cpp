@@ -75,12 +75,14 @@ bool read_request_head(int fd, std::string& head) {
 struct AdminCounters {
   obs::Counter& http_requests;
   obs::Counter& http_bad;
+  obs::Counter& http_errors;
 };
 
 AdminCounters& counters() {
   static AdminCounters c{
       obs::Metrics::counter("serve.admin.http_requests"),
       obs::Metrics::counter("serve.admin.http_bad"),
+      obs::Metrics::counter("serve.admin.http_errors"),
   };
   return c;
 }
@@ -159,8 +161,28 @@ void AdminHttpServer::accept_loop() {
     if ((pfds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;  // transient accept failure; keep serving
-    serve_connection(fd);
+    // Whatever escapes a handler or the response rendering (bad_alloc while
+    // building /statusz or /flamez, a non-std throw) costs this connection
+    // a 500, never the acceptor thread.  Nothing has been written yet when
+    // it throws: serve_connection sends its one response last.
+    try {
+      serve_connection(fd);
+    } catch (const std::exception& e) {
+      fail_connection(fd, e.what());
+    } catch (...) {
+      fail_connection(fd, "unknown exception");
+    }
     ::close(fd);
+  }
+}
+
+void AdminHttpServer::fail_connection(int fd, const char* what) noexcept {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  try {
+    counters().http_errors.add(1);
+    send_simple(fd, 500, std::string("handler failed: ") + what + "\n");
+  } catch (...) {
+    // Out of memory even for the 500: the close is the answer.
   }
 }
 
@@ -211,13 +233,7 @@ void AdminHttpServer::serve_connection(int fd) {
     return;
   }
 
-  AdminResponse response;
-  try {
-    response = it->second();
-  } catch (const std::exception& e) {
-    send_simple(fd, 500, std::string("handler failed: ") + e.what() + "\n");
-    return;
-  }
+  const AdminResponse response = it->second();
   const std::string wire =
       render(response.status, response.content_type, response.body);
   write_all(fd, wire.data(), wire.size());

@@ -9,8 +9,9 @@
 // authentication — any local process is trusted.  Robustness contract
 // (tests/test_serve.cpp): a malformed, oversized, or truncated request gets
 // exactly one `400 Bad Request` (405/404 for wrong method/path) followed by
-// connection close; the acceptor never crashes and never wedges on a slow
-// or silent client (bounded read size + poll timeout).
+// connection close; a handler that throws (anything, bad_alloc included)
+// gets a counted `500` and a close; the acceptor never crashes and never
+// wedges on a slow or silent client (bounded read size + poll timeout).
 #pragma once
 
 #include <atomic>
@@ -77,10 +78,15 @@ class AdminHttpServer {
   [[nodiscard]] std::uint64_t bad_requests() const noexcept {
     return bad_requests_.load(std::memory_order_relaxed);
   }
+  /// Requests answered 500 because a handler or the rendering threw.
+  [[nodiscard]] std::uint64_t errors() const noexcept {
+    return errors_.load(std::memory_order_relaxed);
+  }
 
  private:
   void accept_loop();
   void serve_connection(int fd);
+  void fail_connection(int fd, const char* what) noexcept;
   void send_simple(int fd, int status, const std::string& body);
 
   int requested_port_ = 0;
@@ -93,6 +99,7 @@ class AdminHttpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> bad_requests_{0};
+  std::atomic<std::uint64_t> errors_{0};
 };
 
 }  // namespace phonolid::serve

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -194,9 +195,34 @@ bool read_frame(int fd, std::string& body) {
 }
 
 bool write_frame(int fd, const std::string& body) {
-  const auto length = static_cast<std::uint32_t>(body.size());
-  if (!write_all(fd, &length, sizeof length)) return false;
-  return body.empty() || write_all(fd, body.data(), body.size());
+  // One sendmsg for prefix + body, never two sends (Nagle; see protocol.h).
+  auto length = static_cast<std::uint32_t>(body.size());
+  iovec iov[2] = {{&length, sizeof length},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = body.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a vanished peer is a false return, not SIGPIPE.
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Short write (large frames fill the socket buffer): drop the entries
+    // sent in full and advance into the first partly sent one.
+    auto sent = static_cast<std::size_t>(rc);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return true;
 }
 
 }  // namespace phonolid::serve

@@ -814,6 +814,7 @@ std::string ScoreServer::statusz_json() const {
   if (admin_) {
     admin["requests"] = admin_->requests();
     admin["bad_requests"] = admin_->bad_requests();
+    admin["errors"] = admin_->errors();
   }
   j["admin"] = std::move(admin);
 #if defined(PHONOLID_BUILD_TYPE)

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -122,6 +124,83 @@ TEST_P(FftSizeTest, RoundTripAtEverySize) {
   fft.inverse(x);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x[i].real(), orig[i].real(), 1e-4);
+  }
+}
+
+// Textbook radix-2 transform on std::complex<float> arithmetic: the same
+// twiddles, bit reversal and butterfly order as Fft, written the plain way.
+// Fft's float-lane butterfly must reproduce it bit for bit.
+void reference_forward(std::vector<std::complex<float>>& data) {
+  const std::size_t n = data.size();
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < log2n; ++b) r = (r << 1) | ((i >> b) & 1u);
+    if (i < r) std::swap(data[i], data[r]);
+  }
+  for (std::size_t m = 2; m <= n; m <<= 1) {
+    const std::size_t half = m / 2;
+    for (std::size_t k = 0; k < n; k += m) {
+      for (std::size_t j = 0; j < half; ++j) {
+        const double angle = -2.0 * std::numbers::pi *
+                             static_cast<double>(j) / static_cast<double>(m);
+        const std::complex<float> w(static_cast<float>(std::cos(angle)),
+                                    static_cast<float>(std::sin(angle)));
+        const auto t = w * data[k + j + half];
+        const auto u = data[k + j];
+        data[k + j] = u + t;
+        data[k + j + half] = u - t;
+      }
+    }
+  }
+}
+
+void expect_same_bits(float got, float want, const char* what,
+                      std::size_t n, std::size_t i) {
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+            std::bit_cast<std::uint32_t>(want))
+      << what << " n=" << n << " i=" << i << ": " << got << " vs " << want;
+}
+
+TEST_P(FftSizeTest, BitIdenticalToComplexReference) {
+  const std::size_t n = GetParam();
+  Fft fft(n);
+  util::Rng rng(1000 + n);
+  std::vector<std::complex<float>> x(n);
+  for (auto& v : x) {
+    v = {static_cast<float>(rng.gaussian()), static_cast<float>(rng.gaussian())};
+  }
+
+  auto got = x, want = x;
+  fft.forward(got);
+  reference_forward(want);
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_same_bits(got[i].real(), want[i].real(), "forward re", n, i);
+    expect_same_bits(got[i].imag(), want[i].imag(), "forward im", n, i);
+  }
+
+  got = x;
+  want = x;
+  fft.inverse(got);
+  for (auto& v : want) v = std::conj(v);
+  reference_forward(want);
+  const float inv_n = 1.0f / static_cast<float>(n);
+  for (auto& v : want) v = std::conj(v) * inv_n;
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_same_bits(got[i].real(), want[i].real(), "inverse re", n, i);
+    expect_same_bits(got[i].imag(), want[i].imag(), "inverse im", n, i);
+  }
+
+  std::vector<float> signal(n);
+  for (auto& v : signal) v = static_cast<float>(rng.uniform(-1, 1));
+  std::vector<float> power(n / 2 + 1);
+  std::vector<std::complex<float>> scratch;
+  fft.power_spectrum(signal, power, scratch);
+  std::vector<std::complex<float>> spectrum(signal.begin(), signal.end());
+  reference_forward(spectrum);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    expect_same_bits(power[k], std::norm(spectrum[k]), "power", n, k);
   }
 }
 

@@ -4,17 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <thread>
@@ -151,6 +154,63 @@ double stat_at(const obs::Json& stats,
     if (node == nullptr) return -1.0;
   }
   return node->as_double();
+}
+
+TEST_F(ServeTest, PingRoundTripsDoNotStallOnDelayedAck) {
+  // A frame written as two sends (prefix, then body) waits in Nagle for
+  // the peer's delayed ACK: ~40 ms per frame in each direction, 1.76 s
+  // measured for these 20 pings.  One write per frame makes each a sub-ms
+  // round trip; the bound leaves room for loaded and sanitizer builds.
+  TestServer ts(*model_);
+  Client c = connect_to(ts);
+  ASSERT_EQ(c.ping().status, Status::kOk);  // connection warm
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(c.ping().status, Status::kOk);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, 200ms)
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
+}
+
+void on_sigusr1(int) {}
+
+TEST(ServeProtocol, WriteFrameResumesAfterInterruptedSends) {
+  // A sender blocked on a full socket buffer is interrupted by signals
+  // (no SA_RESTART), so sendmsg returns short counts or EINTR; the frame
+  // must still arrive whole and in order.
+  struct sigaction sa {};
+  struct sigaction old_sa {};
+  sa.sa_handler = on_sigusr1;
+  sigemptyset(&sa.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old_sa), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string body(4u << 20, '\0');
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>((i * 131u) >> 3);
+  }
+  std::atomic<bool> done{false};
+  bool sent = false;
+  std::thread sender([&] {
+    sent = write_frame(fds[0], body);
+    done.store(true);
+  });
+  for (int i = 0; i < 5 && !done.load(); ++i) {
+    std::this_thread::sleep_for(10ms);
+    ::pthread_kill(sender.native_handle(), SIGUSR1);
+  }
+  std::string got;
+  const bool read_ok = read_frame(fds[1], got);
+  // A sender that resent bytes would block on its surplus; hanging up
+  // turns that into a failed write instead of a hung join.
+  ::shutdown(fds[1], SHUT_RDWR);
+  sender.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+  ::sigaction(SIGUSR1, &old_sa, nullptr);
+  EXPECT_TRUE(sent);
+  ASSERT_TRUE(read_ok);
+  EXPECT_TRUE(got == body) << "received " << got.size() << " of "
+                           << body.size() << " bytes, or reordered";
 }
 
 TEST_F(ServeTest, BundleRoundTripScoresBitIdentical) {
@@ -863,6 +923,27 @@ TEST_F(ServeTest, AdminMalformedRequestsGetOneClean400) {
   const HttpReply scrape = http_get(port, "/metrics");
   EXPECT_GE(prom_value(scrape.body, "phonolid_serve_admin_http_bad_total"),
             3.0);
+}
+
+TEST(AdminHttp, ThrowingHandlerGets500AndAcceptorKeepsServing) {
+  AdminHttpServer admin(0);
+  admin.route("/boom", []() -> AdminResponse { throw 7; });
+  admin.route("/oom", []() -> AdminResponse { throw std::bad_alloc(); });
+  admin.route("/healthz", [] { return AdminResponse{200, "text/plain", "ok\n"}; });
+  const int port = admin.start();
+
+  // Neither a non-std throw nor bad_alloc may reach std::terminate: each is
+  // a counted 500 and a closed connection, and the next request is served.
+  EXPECT_EQ(http_get(port, "/boom").status, 500);
+  const HttpReply oom = http_get(port, "/oom");
+  EXPECT_EQ(oom.status, 500);
+  EXPECT_NE(oom.body.find("bad_alloc"), std::string::npos) << oom.body;
+  const HttpReply health = http_get(port, "/healthz");
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
+  EXPECT_EQ(admin.errors(), 2u);
+  EXPECT_EQ(admin.requests(), 3u);
+  admin.shutdown();
 }
 
 TEST_F(ServeTest, AdminConcurrentScrapesDuringScoringAreClean) {
