@@ -9,9 +9,7 @@
 namespace phonolid::acoustic {
 
 util::Matrix GmmLrSystem::features_of(const std::vector<float>& samples) const {
-  util::Matrix ceps = mfcc_.extract(samples);
-  if (config_.cmvn) dsp::cmvn_inplace(ceps, true);
-  return compute_sdc(ceps, config_.sdc);
+  return compute_sdc(features_.process(samples), config_.sdc);
 }
 
 GmmLrSystem GmmLrSystem::train(const corpus::Dataset& train,
@@ -22,7 +20,11 @@ GmmLrSystem GmmLrSystem::train(const corpus::Dataset& train,
   }
   GmmLrSystem system;
   system.config_ = config;
-  system.mfcc_ = dsp::MfccExtractor(config.mfcc);
+  dsp::FeaturePipelineConfig fcfg;  // MFCC statics, per-utterance CMVN
+  fcfg.mfcc = config.mfcc;
+  fcfg.deltas = false;
+  fcfg.cmvn = config.cmvn;
+  system.features_ = dsp::FeaturePipeline(fcfg);
   system.models_.resize(num_languages);
 
   // Pool SDC frames per language.

@@ -51,7 +51,7 @@ class GmmLrSystem {
       const std::vector<float>& samples) const;
 
   GmmLrConfig config_;
-  dsp::MfccExtractor mfcc_{dsp::MfccConfig{}};
+  dsp::FeaturePipeline features_;  // MFCC statics [+ CMVN]
   std::vector<am::DiagGmm> models_;
 };
 

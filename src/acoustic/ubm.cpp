@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/features.h"
 #include "la/kernels.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -13,9 +12,7 @@
 namespace phonolid::acoustic {
 
 util::Matrix UbmLrSystem::features_of(const std::vector<float>& samples) const {
-  util::Matrix ceps = mfcc_.extract(samples);
-  if (config_.cmvn) dsp::cmvn_inplace(ceps, true);
-  return compute_sdc(ceps, config_.sdc);
+  return compute_sdc(features_.process(samples), config_.sdc);
 }
 
 UbmLrSystem UbmLrSystem::train(const corpus::Dataset& train,
@@ -26,7 +23,11 @@ UbmLrSystem UbmLrSystem::train(const corpus::Dataset& train,
   }
   UbmLrSystem system;
   system.config_ = config;
-  system.mfcc_ = dsp::MfccExtractor(config.mfcc);
+  dsp::FeaturePipelineConfig fcfg;  // MFCC statics, per-utterance CMVN
+  fcfg.mfcc = config.mfcc;
+  fcfg.deltas = false;
+  fcfg.cmvn = config.cmvn;
+  system.features_ = dsp::FeaturePipeline(fcfg);
 
   // Extract all features once (parallel over utterances).
   std::vector<util::Matrix> features(train.size());
@@ -99,14 +100,14 @@ UbmLrSystem UbmLrSystem::train(const corpus::Dataset& train,
     util::Matrix& means = system.adapted_means_[l];
     means.resize(m, dim);
     for (std::size_t c = 0; c < m; ++c) {
-      const double gamma = acc_gamma[l][c];
+      const double occupancy = acc_gamma[l][c];
       const auto& ubm_mean = system.ubm_.component(c).mean();
       auto dst = means.row(c);
       for (std::size_t d = 0; d < dim; ++d) {
         // Reynolds MAP: (sum gamma x + tau mu) / (gamma + tau).
         dst[d] = static_cast<float>(
             (acc_x[l](c, d) + config.relevance * ubm_mean[d]) /
-            (gamma + config.relevance));
+            (occupancy + config.relevance));
       }
     }
   }

@@ -15,7 +15,7 @@
 #include "acoustic/sdc.h"
 #include "am/gmm.h"
 #include "corpus/dataset.h"
-#include "dsp/mfcc.h"
+#include "dsp/features.h"
 #include "util/matrix.h"
 
 namespace phonolid::acoustic {
@@ -58,7 +58,7 @@ class UbmLrSystem {
   void rebuild_adapted_scorer();
 
   UbmMapConfig config_;
-  dsp::MfccExtractor mfcc_{dsp::MfccConfig{}};
+  dsp::FeaturePipeline features_;  // MFCC statics [+ CMVN]
   am::DiagGmm ubm_;
   /// adapted_means_[l] : components x dim matrix of MAP-adapted means.
   std::vector<util::Matrix> adapted_means_;

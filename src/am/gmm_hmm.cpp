@@ -19,13 +19,8 @@ AlignedUtterance align_utterance(const corpus::Utterance& utt,
   const std::size_t frames = out.features.rows();
   if (frames == 0 || utt.alignment.empty()) return out;
 
-  const auto& cfg = pipeline.config();
-  const std::size_t frame_len = (cfg.kind == dsp::FeatureKind::kMfcc)
-                                    ? cfg.mfcc.frame_length
-                                    : cfg.plp.frame_length;
-  const std::size_t frame_shift = (cfg.kind == dsp::FeatureKind::kMfcc)
-                                      ? cfg.mfcc.frame_shift
-                                      : cfg.plp.frame_shift;
+  const std::size_t frame_len = pipeline.front().frame_length;
+  const std::size_t frame_shift = pipeline.front().frame_shift;
 
   // Assign each frame to the ground-truth phone covering its centre sample,
   // then collapse runs into segments.

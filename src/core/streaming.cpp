@@ -53,10 +53,7 @@ decoder::Lattice StreamingSession::decode_chunked(
   const std::size_t frames = feats.rows();
   std::size_t chunk = frames;
   if (options_.chunk_samples > 0) {
-    const auto& fcfg = subsystem_->features_->config();
-    const std::size_t shift = (fcfg.kind == dsp::FeatureKind::kMfcc)
-                                  ? fcfg.mfcc.frame_shift
-                                  : fcfg.plp.frame_shift;
+    const std::size_t shift = subsystem_->features_->front().frame_shift;
     chunk = std::max<std::size_t>(1, options_.chunk_samples / shift);
   }
   decoder::DecodeSession session(*subsystem_->decoder_);

@@ -2,16 +2,12 @@
 // diversifies the parallel phone recognizers).
 #pragma once
 
-#include <complex>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "dsp/fft.h"
 #include "dsp/filterbank.h"
 #include "dsp/window.h"
-#include "util/matrix.h"
 
 namespace phonolid::dsp {
 
@@ -29,6 +25,8 @@ struct MfccConfig {
   float log_floor = 1e-10f;
 };
 
+/// MFCC back end: one power spectrum (n_fft/2 + 1 bins, produced by
+/// FeaturePipeline's spectral front) -> mel filterbank -> log -> DCT.
 class MfccExtractor {
  public:
   /// Per-call working memory.  The extractor itself is immutable and shared
@@ -36,10 +34,7 @@ class MfccExtractor {
   /// so concurrent extraction (even two sessions on one thread) never
   /// touches shared or thread-local scratch.
   struct Workspace {
-    std::vector<float> frame;                 // n_fft, zero-padded
-    std::vector<float> power;                 // n_fft/2 + 1
-    std::vector<float> fbank;                 // num_filters
-    std::vector<std::complex<float>> fft;     // n_fft transform scratch
+    std::vector<float> fbank;  // num_filters
   };
 
   explicit MfccExtractor(const MfccConfig& config = {});
@@ -49,21 +44,12 @@ class MfccExtractor {
 
   [[nodiscard]] Workspace make_workspace() const;
 
-  /// One frame of *pre-emphasized* samples (size frame_length, window not
-  /// yet applied) -> one cepstral row (size num_ceps).
-  void extract_frame(std::span<const float> samples, Workspace& ws,
-                     std::span<float> out) const;
-
-  /// Extracts one feature row per frame; returns num_frames x num_ceps.
-  /// Implemented as a loop over extract_frame, so batch and streaming share
-  /// one per-frame code path.
-  [[nodiscard]] util::Matrix extract(std::span<const float> signal) const;
+  /// One power spectrum (size n_fft/2 + 1) -> one cepstral row (num_ceps).
+  void cepstra(std::span<const float> power, Workspace& ws,
+               std::span<float> out) const;
 
  private:
   MfccConfig config_;
-  Framer framer_;
-  std::vector<float> window_;
-  Fft fft_;
   Filterbank filterbank_;
   Dct dct_;
 };

@@ -57,14 +57,8 @@ void lpc_to_cepstrum(std::span<const double> lpc, double gain2,
 
 PlpExtractor::PlpExtractor(const PlpConfig& config)
     : config_(config),
-      framer_(config.frame_length, config.frame_shift),
-      window_(make_window(config.window, config.frame_length)),
-      fft_(config.n_fft),
       filterbank_(config.num_filters, config.n_fft / 2 + 1, config.sample_rate,
                   config.low_hz, config.high_hz, FilterbankScale::kBark) {
-  if (config.frame_length > config.n_fft) {
-    throw std::invalid_argument("frame_length must be <= n_fft");
-  }
   if (config.num_ceps > config.lpc_order + 1 && config.num_ceps > 64) {
     throw std::invalid_argument("num_ceps unreasonably large");
   }
@@ -83,14 +77,21 @@ PlpExtractor::PlpExtractor(const PlpConfig& config)
                       ((w2 + 1.44e6) / (w2 + 9.61e6));
     equal_loudness_[f] = el;
   }
+  // Treat bands as samples of an even spectrum at angles pi*(f+0.5)/nb.
+  const std::size_t nb = config.num_filters;
+  cos_basis_.resize((config.lpc_order + 1) * nb);
+  for (std::size_t lag = 0; lag <= config.lpc_order; ++lag) {
+    for (std::size_t f = 0; f < nb; ++f) {
+      const double angle = std::numbers::pi * (static_cast<double>(f) + 0.5) *
+                           static_cast<double>(lag) / static_cast<double>(nb);
+      cos_basis_[lag * nb + f] = std::cos(angle);
+    }
+  }
 }
 
 PlpExtractor::Workspace PlpExtractor::make_workspace() const {
   Workspace ws;
-  ws.frame.assign(config_.n_fft, 0.0f);
-  ws.power.resize(config_.n_fft / 2 + 1);
   ws.bands.resize(config_.num_filters);
-  ws.fft.resize(config_.n_fft);
   ws.loud.resize(config_.num_filters);
   ws.autocorr.resize(config_.lpc_order + 1);
   ws.lpc.resize(config_.lpc_order);
@@ -98,16 +99,10 @@ PlpExtractor::Workspace PlpExtractor::make_workspace() const {
   return ws;
 }
 
-void PlpExtractor::extract_frame(std::span<const float> samples, Workspace& ws,
-                                 std::span<float> out) const {
-  assert(samples.size() == config_.frame_length);
+void PlpExtractor::cepstra(std::span<const float> power, Workspace& ws,
+                           std::span<float> out) const {
   const std::size_t nb = config_.num_filters;
-  std::fill(ws.frame.begin(), ws.frame.end(), 0.0f);
-  for (std::size_t i = 0; i < config_.frame_length; ++i) {
-    ws.frame[i] = samples[i] * window_[i];
-  }
-  fft_.power_spectrum(ws.frame, ws.power, ws.fft);
-  filterbank_.apply(ws.power, ws.bands);
+  filterbank_.apply(power, ws.bands);
   for (std::size_t f = 0; f < nb; ++f) {
     const double compressed = std::pow(
         std::max(static_cast<double>(ws.bands[f]), 1e-10) * equal_loudness_[f],
@@ -115,15 +110,11 @@ void PlpExtractor::extract_frame(std::span<const float> samples, Workspace& ws,
     ws.loud[f] = compressed;
   }
   // Inverse DFT of the (symmetric) loudness spectrum gives autocorrelation
-  // of the perceptually warped signal.  Treat bands as samples of an even
-  // spectrum at angles pi*(f+0.5)/nb.
+  // of the perceptually warped signal.
   for (std::size_t lag = 0; lag <= config_.lpc_order; ++lag) {
+    const double* basis = cos_basis_.data() + lag * nb;
     double acc = 0.0;
-    for (std::size_t f = 0; f < nb; ++f) {
-      const double angle = std::numbers::pi * (static_cast<double>(f) + 0.5) *
-                           static_cast<double>(lag) / static_cast<double>(nb);
-      acc += ws.loud[f] * std::cos(angle);
-    }
+    for (std::size_t f = 0; f < nb; ++f) acc += ws.loud[f] * basis[f];
     ws.autocorr[lag] = acc / static_cast<double>(nb);
   }
   if (ws.autocorr[0] <= 0.0) ws.autocorr[0] = 1e-10;
@@ -132,22 +123,6 @@ void PlpExtractor::extract_frame(std::span<const float> samples, Workspace& ws,
   for (std::size_t k = 0; k < config_.num_ceps; ++k) {
     out[k] = static_cast<float>(ws.ceps[k]);
   }
-}
-
-util::Matrix PlpExtractor::extract(std::span<const float> signal) const {
-  std::vector<float> emphasized(signal.begin(), signal.end());
-  pre_emphasis(emphasized, config_.pre_emph);
-
-  const std::size_t frames = framer_.num_frames(emphasized.size());
-  util::Matrix features(frames, config_.num_ceps);
-
-  Workspace ws = make_workspace();
-  for (std::size_t t = 0; t < frames; ++t) {
-    extract_frame(std::span<const float>(emphasized)
-                      .subspan(t * config_.frame_shift, config_.frame_length),
-                  ws, features.row(t));
-  }
-  return features;
 }
 
 }  // namespace phonolid::dsp

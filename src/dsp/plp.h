@@ -1,21 +1,19 @@
 // PLP-style front-end (perceptual linear prediction, Hermansky 1990).
 //
-// Power spectrum -> Bark-scaled critical-band integration -> equal-loudness
+// Back end over the shared spectral front (FeaturePipeline):
+// power spectrum -> Bark-scaled critical-band integration -> equal-loudness
 // pre-emphasis -> intensity-loudness (cube-root) compression -> inverse DFT
 // to autocorrelation -> Levinson-Durbin LPC -> cepstral recursion.
 // This is the paper's "PLP feature" diversification axis (§4.1(b): 13-dim
 // PLP plus deltas feeding the DNN front-end).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "dsp/fft.h"
 #include "dsp/filterbank.h"
 #include "dsp/window.h"
-#include "util/matrix.h"
 
 namespace phonolid::dsp {
 
@@ -45,15 +43,13 @@ struct PlpConfig {
   double compress_power = 1.0 / 3.0;  // intensity-loudness law
 };
 
+/// PLP back end: one power spectrum (n_fft/2 + 1 bins) -> one cepstral row.
 class PlpExtractor {
  public:
   /// Per-call working memory (see MfccExtractor::Workspace): the extractor
   /// is immutable and shared; every caller/session owns its own scratch.
   struct Workspace {
-    std::vector<float> frame;                 // n_fft, zero-padded
-    std::vector<float> power;                 // n_fft/2 + 1
     std::vector<float> bands;                 // num_filters
-    std::vector<std::complex<float>> fft;     // n_fft transform scratch
     std::vector<double> loud;                 // num_filters
     std::vector<double> autocorr;             // lpc_order + 1
     std::vector<double> lpc;                  // lpc_order
@@ -67,20 +63,17 @@ class PlpExtractor {
 
   [[nodiscard]] Workspace make_workspace() const;
 
-  /// One frame of *pre-emphasized* samples (size frame_length, window not
-  /// yet applied) -> one cepstral row (size num_ceps).
-  void extract_frame(std::span<const float> samples, Workspace& ws,
-                     std::span<float> out) const;
-
-  [[nodiscard]] util::Matrix extract(std::span<const float> signal) const;
+  /// One power spectrum (size n_fft/2 + 1) -> one cepstral row (num_ceps).
+  void cepstra(std::span<const float> power, Workspace& ws,
+               std::span<float> out) const;
 
  private:
   PlpConfig config_;
-  Framer framer_;
-  std::vector<float> window_;
-  Fft fft_;
   Filterbank filterbank_;
   std::vector<double> equal_loudness_;  // per critical band
+  // cos(pi (f + 1/2) lag / num_filters), row-major (lag, band): the inverse
+  // DFT basis from loudness bands to autocorrelation lags.
+  std::vector<double> cos_basis_;
 };
 
 }  // namespace phonolid::dsp

@@ -7,18 +7,10 @@
 namespace phonolid::dsp {
 
 StreamingFeatures::StreamingFeatures(const FeaturePipeline& pipeline)
-    : pipeline_(pipeline) {
+    : pipeline_(pipeline),
+      base_dim_(pipeline.static_dim()),
+      ws_(pipeline.make_workspace()) {
   const auto& cfg = pipeline.config();
-  const bool mfcc = cfg.kind == FeatureKind::kMfcc;
-  base_dim_ = mfcc ? cfg.mfcc.num_ceps : cfg.plp.num_ceps;
-  frame_length_ = mfcc ? cfg.mfcc.frame_length : cfg.plp.frame_length;
-  frame_shift_ = mfcc ? cfg.mfcc.frame_shift : cfg.plp.frame_shift;
-  pre_emph_ = mfcc ? cfg.mfcc.pre_emph : cfg.plp.pre_emph;
-  if (mfcc) {
-    mfcc_ws_ = pipeline.mfcc()->make_workspace();
-  } else {
-    plp_ws_ = pipeline.plp()->make_workspace();
-  }
   deltas_on_ = cfg.deltas;
   if (deltas_on_) {
     delta_window_ = static_cast<std::ptrdiff_t>(cfg.delta_window);
@@ -45,19 +37,20 @@ void StreamingFeatures::push(std::span<const float> samples) {
     throw std::logic_error("StreamingFeatures: push() after finish()");
   }
   if (samples.empty()) return;
-  // Streaming pre-emphasis: identical to pre_emphasis() on the whole signal
+  // Streaming pre-emphasis: identical to pre-emphasis of the whole signal
   // (y[0] = x[0]*(1-c), then y[i] = x[i] - c*x[i-1] with a one-sample carry
   // across chunk boundaries).
+  const float pre_emph = pipeline_.front().pre_emph;
   const std::size_t old = buf_.size();
   buf_.resize(old + samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const float v = samples[i];
     float e;
     if (!have_prev_sample_) {
-      e = v * (1.0f - pre_emph_);
+      e = v * (1.0f - pre_emph);
       have_prev_sample_ = true;
     } else {
-      e = v - pre_emph_ * prev_raw_sample_;
+      e = v - pre_emph * prev_raw_sample_;
     }
     prev_raw_sample_ = v;
     buf_[old + i] = e;
@@ -67,22 +60,17 @@ void StreamingFeatures::push(std::span<const float> samples) {
 }
 
 void StreamingFeatures::extract_ready_frames() {
-  const bool mfcc = pipeline_.config().kind == FeatureKind::kMfcc;
-  while (next_frame_ * frame_shift_ + frame_length_ <= total_samples_) {
-    const std::size_t offset = next_frame_ * frame_shift_ - buf_start_;
-    const std::span<const float> frame(buf_.data() + offset, frame_length_);
-    if (mfcc) {
-      pipeline_.mfcc()->extract_frame(frame, mfcc_ws_, static_tmp_);
-    } else {
-      pipeline_.plp()->extract_frame(frame, plp_ws_, static_tmp_);
-    }
+  const std::size_t length = pipeline_.front().frame_length;
+  const std::size_t shift = pipeline_.front().frame_shift;
+  while (next_frame_ * shift + length <= total_samples_) {
+    const std::size_t offset = next_frame_ * shift - buf_start_;
+    pipeline_.extract_frame({buf_.data() + offset, length}, ws_, static_tmp_);
     ++next_frame_;
     on_static_row(static_tmp_);
   }
   // Drop samples no future frame can touch; the buffer stays bounded by
   // frame_length + the largest chunk ever pushed.
-  const std::size_t keep_from =
-      std::min(next_frame_ * frame_shift_, total_samples_);
+  const std::size_t keep_from = std::min(next_frame_ * shift, total_samples_);
   if (keep_from > buf_start_) {
     buf_.erase(buf_.begin(),
                buf_.begin() + static_cast<std::ptrdiff_t>(keep_from - buf_start_));

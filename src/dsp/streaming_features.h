@@ -2,13 +2,15 @@
 //
 // StreamingFeatures accepts raw audio in arbitrary chunks and emits
 // *pre-CMVN* feature rows (statics [+ deltas + delta-deltas]) exactly as the
-// batch FeaturePipeline would compute them — bit-identical, because the
-// per-frame arithmetic (pre-emphasis carry, windowing, FFT, cepstra, delta
-// regression order) is shared with the batch path and applied in the same
-// order.  Per-utterance CMVN is deliberately *not* applied here: it depends
-// on whole-utterance statistics, so normalisation belongs to whoever ends
-// the utterance (core::StreamingSession at finalize, FeaturePipeline at the
-// end of process()).
+// batch FeaturePipeline would compute them — bit-identical, because
+// FeaturePipeline::process is itself a single-chunk pass through this class.
+// This class is the spectral front's pre-emphasis and framing (whole-signal
+// pre-emphasis, frame t at t * frame_shift); each frame then goes through
+// FeaturePipeline::extract_frame (window, FFT power spectrum, back end).
+// Per-utterance CMVN is deliberately *not* applied here: it depends on
+// whole-utterance statistics, so normalisation belongs to whoever ends the
+// utterance (core::StreamingSession at finalize, FeaturePipeline at the end
+// of process()).
 //
 // Internal state is bounded by the lookahead, not the utterance:
 //   - an emphasized-sample buffer holding at most one frame plus one chunk
@@ -19,8 +21,8 @@
 // The emitted rows themselves accumulate here because every downstream
 // consumer (CMVN, decoder lattice) is per-utterance O(T) anyway.
 //
-// All scratch (FFT transform buffers, filterbank outputs, rings) is owned
-// by the object: one StreamingFeatures per session, no thread_local, so
+// All scratch (one FeaturePipeline::Workspace, rings) is owned by the
+// object: one StreamingFeatures per session, no thread_local, so
 // sessions are independently usable from any mix of threads.
 #pragma once
 
@@ -35,8 +37,8 @@ namespace phonolid::dsp {
 
 class StreamingFeatures {
  public:
-  /// `pipeline` must outlive the session (it owns the immutable extractor
-  /// tables; this object owns all mutable state).
+  /// `pipeline` must outlive the session (it owns the immutable window,
+  /// FFT and back-end tables; this object owns all mutable state).
   explicit StreamingFeatures(const FeaturePipeline& pipeline);
 
   /// Feed the next chunk of raw samples; completes and emits any feature
@@ -86,15 +88,10 @@ class StreamingFeatures {
   std::size_t base_dim_ = 0;   // cepstra per frame
   std::size_t dim_ = 0;        // emitted row width (3x with deltas)
   bool deltas_on_ = false;
-  std::size_t frame_length_ = 0;
-  std::size_t frame_shift_ = 0;
   std::ptrdiff_t delta_window_ = 0;  // 0 = deltas disabled
-  float pre_emph_ = 0.0f;
   float inv_denom_ = 0.0f;     // delta regression normaliser
 
-  // Extractor scratch (exactly one of the two is active).
-  MfccExtractor::Workspace mfcc_ws_;
-  PlpExtractor::Workspace plp_ws_;
+  FeaturePipeline::Workspace ws_;
 
   // Pre-emphasis carry + bounded sample buffer.
   bool have_prev_sample_ = false;

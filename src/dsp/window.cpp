@@ -1,10 +1,7 @@
 #include "dsp/window.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace phonolid::dsp {
 
@@ -29,45 +26,6 @@ std::vector<float> make_window(WindowType type, std::size_t length) {
       break;
   }
   return w;
-}
-
-void pre_emphasis(std::span<float> signal, float coeff) noexcept {
-  if (signal.empty()) return;
-  float prev = signal[0];
-  signal[0] = signal[0] * (1.0f - coeff);
-  for (std::size_t i = 1; i < signal.size(); ++i) {
-    const float cur = signal[i];
-    signal[i] = cur - coeff * prev;
-    prev = cur;
-  }
-}
-
-Framer::Framer(std::size_t frame_length, std::size_t frame_shift)
-    : frame_length_(frame_length), frame_shift_(frame_shift) {
-  if (frame_length == 0 || frame_shift == 0) {
-    throw std::invalid_argument("frame length/shift must be positive");
-  }
-}
-
-std::size_t Framer::num_frames(std::size_t num_samples) const noexcept {
-  if (num_samples < frame_length_) return 0;
-  return (num_samples - frame_length_) / frame_shift_ + 1;
-}
-
-void Framer::extract(std::span<const float> signal, std::size_t index,
-                     std::span<const float> window, std::span<float> out) const {
-  assert(out.size() == frame_length_);
-  const std::size_t start = index * frame_shift_;
-  assert(start + frame_length_ <= signal.size());
-  if (window.empty()) {
-    std::copy_n(signal.begin() + static_cast<std::ptrdiff_t>(start),
-                frame_length_, out.begin());
-  } else {
-    assert(window.size() == frame_length_);
-    for (std::size_t i = 0; i < frame_length_; ++i) {
-      out[i] = signal[start + i] * window[i];
-    }
-  }
 }
 
 }  // namespace phonolid::dsp

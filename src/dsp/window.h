@@ -1,8 +1,7 @@
-// Frame extraction and windowing.
+// Analysis windows.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace phonolid::dsp {
@@ -11,29 +10,5 @@ enum class WindowType { kRectangular, kHamming, kHann };
 
 /// Precomputed analysis window coefficients.
 std::vector<float> make_window(WindowType type, std::size_t length);
-
-/// y[t] = x[t] - coeff * x[t-1]  (y[0] = x[0] * (1 - coeff)).
-void pre_emphasis(std::span<float> signal, float coeff) noexcept;
-
-/// Splits `signal` into overlapping frames.
-class Framer {
- public:
-  Framer(std::size_t frame_length, std::size_t frame_shift);
-
-  /// Number of fully-contained frames in a signal of `num_samples` samples.
-  [[nodiscard]] std::size_t num_frames(std::size_t num_samples) const noexcept;
-
-  /// Copy frame `index` into `out` (size frame_length), applying `window`
-  /// (empty span = rectangular).
-  void extract(std::span<const float> signal, std::size_t index,
-               std::span<const float> window, std::span<float> out) const;
-
-  [[nodiscard]] std::size_t frame_length() const noexcept { return frame_length_; }
-  [[nodiscard]] std::size_t frame_shift() const noexcept { return frame_shift_; }
-
- private:
-  std::size_t frame_length_;
-  std::size_t frame_shift_;
-};
 
 }  // namespace phonolid::dsp

@@ -666,6 +666,8 @@ void ScoreServer::process_batch(std::vector<Pending> batch) {
         std::chrono::duration<double, std::milli>(compute_start -
                                                   live[i].dequeued)
             .count();
+    // Phases are recorded after the send (the write phase times it), so a
+    // client may read its reply before kStats counts that request.
     const auto write_start = std::chrono::steady_clock::now();
     respond(live[i].conn, std::move(ok));
     record_request_phases(live[i], batch_wait_ms, compute_ms,

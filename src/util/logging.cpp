@@ -36,7 +36,7 @@ std::string format_log_timestamp(std::chrono::system_clock::time_point tp) {
   const std::time_t t = static_cast<std::time_t>(secs.count());
   std::tm utc{};
   gmtime_r(&t, &utc);
-  char buf[32];
+  char buf[64];  // room for any int fields, so no truncation is possible
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(millis));

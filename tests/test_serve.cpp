@@ -691,12 +691,29 @@ TEST_F(ServeTest, StatsCarryPhasesUptimeAndSlowLog) {
     ASSERT_EQ(c.score(test_utt(0)).status, Status::kOk);
   }
 
-  const obs::Json stats = obs::Json::parse(c.stats().text);
+  // The daemon records a request's phases after sending its reply, so the
+  // last reply can reach us before its phases are counted: poll kStats
+  // until every phase count reaches kScores.  It must never exceed it.
+  constexpr const char* kPhases[] = {"queue_wait_ms", "batch_wait_ms",
+                                     "compute_ms", "write_ms"};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  obs::Json stats;
+  for (;;) {
+    stats = obs::Json::parse(c.stats().text);
+    bool all_counted = true;
+    for (const char* phase : kPhases) {
+      const double count = stat_at(stats, {"phases", phase, "count"});
+      ASSERT_LE(count, static_cast<double>(kScores)) << phase;
+      all_counted = all_counted && count == static_cast<double>(kScores);
+    }
+    if (all_counted || std::chrono::steady_clock::now() > deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(stat_at(stats, {"uptime_s"}), 0.0);
   EXPECT_EQ(stat_at(stats, {"requests_total"}), stat_at(stats, {"requests"}));
   // Every scored request passed through all four phases exactly once.
-  for (const char* phase :
-       {"queue_wait_ms", "batch_wait_ms", "compute_ms", "write_ms"}) {
+  for (const char* phase : kPhases) {
     EXPECT_EQ(stat_at(stats, {"phases", phase, "count"}),
               static_cast<double>(kScores))
         << phase;

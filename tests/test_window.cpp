@@ -42,58 +42,5 @@ TEST(Window, DegenerateLengths) {
   EXPECT_FLOAT_EQ(one[0], 1.0f);
 }
 
-TEST(PreEmphasis, HighPassesSteps) {
-  // A DC signal should be almost annihilated after the first sample.
-  std::vector<float> x(16, 1.0f);
-  pre_emphasis(x, 0.97f);
-  EXPECT_NEAR(x[0], 0.03f, 1e-6);
-  for (std::size_t i = 1; i < x.size(); ++i) EXPECT_NEAR(x[i], 0.03f, 1e-5);
-}
-
-TEST(PreEmphasis, ZeroCoeffIsIdentity) {
-  std::vector<float> x = {1.0f, -2.0f, 3.0f};
-  pre_emphasis(x, 0.0f);
-  EXPECT_FLOAT_EQ(x[0], 1.0f);
-  EXPECT_FLOAT_EQ(x[1], -2.0f);
-  EXPECT_FLOAT_EQ(x[2], 3.0f);
-}
-
-TEST(Framer, FrameCountFormula) {
-  Framer framer(200, 80);
-  EXPECT_EQ(framer.num_frames(199), 0u);
-  EXPECT_EQ(framer.num_frames(200), 1u);
-  EXPECT_EQ(framer.num_frames(279), 1u);
-  EXPECT_EQ(framer.num_frames(280), 2u);
-  EXPECT_EQ(framer.num_frames(8000), (8000 - 200) / 80 + 1);
-}
-
-TEST(Framer, ExtractsCorrectRegion) {
-  Framer framer(4, 2);
-  std::vector<float> signal = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<float> frame(4);
-  framer.extract(signal, 0, {}, frame);
-  EXPECT_FLOAT_EQ(frame[0], 0.0f);
-  EXPECT_FLOAT_EQ(frame[3], 3.0f);
-  framer.extract(signal, 2, {}, frame);
-  EXPECT_FLOAT_EQ(frame[0], 4.0f);
-  EXPECT_FLOAT_EQ(frame[3], 7.0f);
-}
-
-TEST(Framer, AppliesWindow) {
-  Framer framer(4, 4);
-  std::vector<float> signal = {2, 2, 2, 2};
-  std::vector<float> window = {0.5f, 1.0f, 1.0f, 0.5f};
-  std::vector<float> frame(4);
-  framer.extract(signal, 0, window, frame);
-  EXPECT_FLOAT_EQ(frame[0], 1.0f);
-  EXPECT_FLOAT_EQ(frame[1], 2.0f);
-  EXPECT_FLOAT_EQ(frame[3], 1.0f);
-}
-
-TEST(Framer, RejectsZeroShift) {
-  EXPECT_THROW(Framer(10, 0), std::invalid_argument);
-  EXPECT_THROW(Framer(0, 10), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace phonolid::dsp

@@ -1203,7 +1203,8 @@ int cmd_freeze(const Args& args) {
   std::vector<core::FrozenHead> heads;
   heads.reserve(models.size());
   for (std::size_t h = 0; h < models.size(); ++h) {
-    heads.push_back(core::FrozenHead{h % num_subs, std::move(models[h])});
+    heads.push_back(core::FrozenHead{static_cast<std::uint32_t>(h % num_subs),
+                                     std::move(models[h])});
   }
   core::FrozenModel::write_bundle(out_dir, *exp, heads, fusion);
   std::printf("froze %zu subsystems, %zu heads (mode %s, V=%zu) -> %s\n",
